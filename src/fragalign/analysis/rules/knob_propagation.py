@@ -8,11 +8,15 @@ covers them **exactly**, so deleting a field from the registry (or
 adding an unregistered knob parameter to a key builder) fails the
 check in both directions:
 
-* ``service/protocol.py`` — ``parse_request`` must read every field
-  off the wire (``obj.get("<field>")``), and the ``Request`` dataclass
-  must carry exactly ``id/op/a/b`` plus the registered fields;
+* ``service/protocol.py`` — ``parse_request`` and the frame parser
+  ``parse_frame`` must each read every field off the wire
+  (``obj.get("<field>")``, directly or through module-level helpers
+  they call); the ``Request`` dataclass must carry exactly
+  ``id/op/a/b`` plus the registered fields, and ``Frame`` exactly
+  ``id/op/pairs`` plus the registered fields;
 * ``service/batcher.py`` — ``MicroBatcher.submit`` takes exactly
-  ``op/a/b`` plus the ``group_key`` fields;
+  ``op/a/b`` plus the ``group_key`` fields, and the frame entry point
+  ``submit_group`` exactly ``op/pairs`` plus the same fields;
 * ``service/server.py`` — the ``cache_key`` method takes exactly
   ``op/a/b`` plus the ``cache_key`` fields;
 * ``cluster/ring.py`` — ``ring_key`` takes exactly ``op/a/b`` (plus
@@ -64,6 +68,42 @@ def _find_def(tree: ast.Module, name: str, method: bool = False):
                 if node.name == name:
                     return node
     return None
+
+
+_PARSERS = ("parse_request", "parse_frame")
+
+
+def _wire_reads(tree: ast.Module, parser) -> set[str]:
+    """Field names a parser reads off the wire (``obj.get("<field>")``),
+    directly or through the module-level helpers it calls — but not
+    through the other parser, which is checked on its own."""
+    helpers = {
+        n.name: n for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    read: set[str] = set()
+    seen: set[str] = set(_PARSERS)
+    todo = [parser]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if not isinstance(node, ast.Call):
+                continue
+            if (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                read.add(node.args[0].value)
+            elif (
+                isinstance(node.func, ast.Name)
+                and node.func.id in helpers
+                and node.func.id not in seen
+            ):
+                seen.add(node.func.id)
+                todo.append(helpers[node.func.id])
+    return read
 
 
 def _exactness(
@@ -144,73 +184,69 @@ def check(project: Project) -> list[Finding]:
             )
         )
 
-    # -- site: protocol.parse_request + Request ------------------------
+    # -- site: protocol parsers + Request/Frame -------------------------
     path = project.file("service/protocol.py")
     if path is not None:
         tree = project.tree(path)
         relpath = project.relpath(path)
-        parse = _find_def(tree, "parse_request")
-        if parse is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="parse_request",
-                    message="service/protocol.py must define parse_request",
+        for parser in _PARSERS:
+            node = _find_def(tree, parser)
+            if node is None:
+                findings.append(
+                    Finding(
+                        rule=ID, path=relpath, line=0, symbol=parser,
+                        message=f"service/protocol.py must define {parser}",
+                    )
                 )
-            )
-        else:
-            read = {
-                node.args[0].value
-                for node in ast.walk(parse)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            }
+                continue
+            read = _wire_reads(tree, node)
             for name in sorted(names - read):
                 findings.append(
                     Finding(
-                        rule=ID, path=relpath, line=parse.lineno, symbol="parse_request",
+                        rule=ID, path=relpath, line=node.lineno, symbol=parser,
                         message=(
                             f"registered field {name!r} is never read off the wire "
                             "(no obj.get call)"
                         ),
                     )
                 )
-        request = next(
-            (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Request"),
-            None,
-        )
-        if request is not None:
-            declared = {
-                stmt.target.id
-                for stmt in request.body
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            }
-            _exactness(
-                findings, relpath, request, "Request",
-                declared, names, {"id", "op", "a", "b"}, "the Request dataclass",
+        for cls, structural in (("Request", {"id", "op", "a", "b"}),
+                                ("Frame", {"id", "op", "pairs"})):
+            node = next(
+                (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls),
+                None,
             )
+            if node is not None:
+                declared = {
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+                _exactness(
+                    findings, relpath, node, cls,
+                    declared, names, structural, f"the {cls} dataclass",
+                )
 
     # -- site: batcher group key --------------------------------------
     path = project.file("service/batcher.py")
     if path is not None:
         tree = project.tree(path)
         relpath = project.relpath(path)
-        submit = _find_def(tree, "submit", method=True)
-        if submit is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="MicroBatcher.submit",
-                    message="service/batcher.py must define a submit method",
+        for method, structural in (("submit", {"op", "a", "b"}),
+                                   ("submit_group", {"op", "pairs"})):
+            node = _find_def(tree, method, method=True)
+            if node is None:
+                findings.append(
+                    Finding(
+                        rule=ID, path=relpath, line=0, symbol=f"MicroBatcher.{method}",
+                        message=f"service/batcher.py must define a {method} method",
+                    )
                 )
-            )
-        else:
+                continue
             _exactness(
-                findings, relpath, submit, "MicroBatcher.submit",
-                _param_names(submit), group_fields, {"op", "a", "b"},
-                "the batch-group key (submit parameters)",
+                findings, relpath, node, f"MicroBatcher.{method}",
+                _param_names(node), group_fields, structural,
+                f"the batch-group key ({method} parameters)",
             )
 
     # -- site: server result-cache key --------------------------------

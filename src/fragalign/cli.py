@@ -473,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_deadline_flag(croute)
     croute.add_argument(
-        "--hedge-delay-ms",
-        type=float,
-        default=None,
-        help="fire a duplicate score attempt after this many ms without "
-        "an answer (hedged requests; default off)",
-    )
-    croute.add_argument(
         "--breaker-threshold",
         type=int,
         default=3,
@@ -1637,7 +1630,6 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
         default_gap_extend=defaults["gap_extend"],
         breaker_threshold=args.breaker_threshold,
         breaker_recovery=args.breaker_recovery_s,
-        hedge_delay=None if args.hedge_delay_ms is None else args.hedge_delay_ms / 1e3,
     ) as cluster:
         try:
             t, results = time_call(run, cluster, repeat=1)

@@ -5,9 +5,12 @@ servers.  Each request is keyed exactly like the service result cache
 (``op, pair, mode, band, model``), hashed onto the consistent ring,
 and sent to the owning shard over that shard's pipelined
 :class:`~fragalign.service.client.AsyncAlignmentClient`.  Batch calls
-(``score_many``/``align_many``) fire every request concurrently — the
-per-shard groups each fill that shard's micro-batcher — and merge the
-answers back **in request order**.
+(``score_many``/``align_many``/``request_many``) travel as frames:
+the pairs are split by owning shard, each shard gets one sub-frame
+(one wire line, which its server hands to its batcher as one group),
+and the answers merge back **in request order**.  Failover for frames
+is per pair: a failed shard's sub-frame is re-split over the ring's
+survivors (:meth:`ShardRouter._route_frame`).
 
 Failover: a connection-level failure (refused, reset, mid-stream
 close, probe timeout) evicts the shard from the ring and retries the
@@ -67,7 +70,9 @@ from fragalign.obs.trace import TraceContext, Tracer
 from fragalign.resilience.breaker import CLOSED, HALF_OPEN, STATE_CODES, CircuitBreaker
 from fragalign.resilience.deadline import deadline_from_budget_ms, remaining_ms
 from fragalign.service.client import AlignmentClient, AsyncAlignmentClient
+from fragalign.service.fields import group_key_fields
 from fragalign.service.protocol import ServiceError
+from fragalign.service.server import ServiceConfig
 from fragalign.util.errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -78,6 +83,17 @@ from fragalign.util.errors import (
 __all__ = ["ClusterError", "ShardRouter", "ClusterClient"]
 
 _MISS = object()  # sentinel: no attempt has produced a value yet
+
+# The entry fields one frame shares (its batch-group knobs plus one
+# deadline): request_many groups entries by them.
+_FRAME_KNOBS = (*group_key_fields(), "deadline_ms")
+
+# request_timeout bounds one request's attempt: the wait for one engine
+# batch of at most a shard's max_batch pairs.  A sub-frame carries many
+# pairs' work, so its attempt gets one request_timeout per this many
+# pairs (the shards' default max_batch): a big frame on a healthy shard
+# must not read as a dead shard.
+_PAIRS_PER_TIMEOUT = ServiceConfig.max_batch
 
 # Failures that mean "this shard, not this request": worth a retry on
 # the next replica.  ServiceError is deliberately absent.
@@ -113,7 +129,9 @@ class ShardRouter:
     request_timeout:
         Optional per-attempt budget in seconds, covering connection
         establishment *and* the round trip; a timeout counts as a
-        shard failure and triggers failover.
+        shard failure and triggers failover.  A frame's sub-frame gets
+        one such budget per ``_PAIRS_PER_TIMEOUT`` (64) pairs it
+        carries.
     connect_timeout:
         Budget for opening a new shard connection even when
         ``request_timeout`` is unset — a black-holing host (dropped
@@ -391,6 +409,104 @@ class ShardRouter:
         total = sum(self.routed.values()) + 1
         return self.hedges < max(1.0, self.hedge_max_fraction * total)
 
+    # -- failover policy (shared by single requests and frames) -------
+
+    def _budget_spent(
+        self, deadline: float | None, attempt: int, cheapest: float | None
+    ) -> bool:
+        """Whether the deadline budget can no longer cover an attempt.
+        A first attempt runs on any positive budget; a retry must clear
+        ``retry_min_budget`` and the fastest failed attempt so far — no
+        point starting an attempt the budget provably can't cover."""
+        if deadline is None:
+            return False
+        floor = max(self.retry_min_budget, cheapest or 0.0) if attempt else 0.0
+        return deadline - time.monotonic() <= floor
+
+    def _next_replica(
+        self, key: str, tried, admits: dict[str, bool]
+    ) -> tuple[str | None, bool]:
+        """The first untried replica of ``key`` whose circuit admits a
+        request, and whether an open circuit was skipped on the way.
+        The ring is re-read on every call: evictions (ours or a
+        concurrent request's) reshape it.  ``admits`` memoizes each
+        shard's breaker answer, so a half-open breaker grants its one
+        trial once per ``admits``."""
+        try:
+            candidates = self.ring.nodes_for(key, len(self.addresses))
+        except LookupError:
+            return None, False  # ring empty: nothing left to try
+        blocked = False
+        for shard in candidates:
+            if shard in tried:
+                continue
+            if shard not in admits:
+                admits[shard] = self._breaker(shard).allow()
+            if admits[shard]:
+                return shard, blocked
+            blocked = True
+        return None, blocked
+
+    def _settle(self, shard: str, exc: BaseException | None) -> str:
+        """Report an attempt's outcome to ``shard``'s breaker and name
+        it: ``ok``; ``shed`` (answered ``OVERLOADED``: healthy but
+        loaded — the circuit tracks connectivity, not load);
+        ``rejected`` (answered with an error every replica would give:
+        circuit-wise a healthy shard); ``failed`` (connection-level:
+        the shard is evicted from the ring); or ``unknown`` (not
+        evidence about the shard: only its trial slot is released)."""
+        breaker = self._breaker(shard)
+        if exc is None:
+            breaker.record_success()
+            return "ok"
+        if isinstance(exc, ServiceError):
+            breaker.record_success()
+            return "shed" if isinstance(exc, RetryableError) else "rejected"
+        if isinstance(exc, _SHARD_FAILURES):
+            breaker.record_failure()
+            self.mark_shard_down(shard)
+            return "failed"
+        breaker.record_abandon()
+        return "unknown"
+
+    def _give_up(
+        self, op: str, what: str, count: int, tried, last_error: Exception | None,
+        blocked: bool,
+    ) -> Exception:
+        """Count ``count`` requests (or frame pairs) as failed on every
+        replica and type the error they fail with: the replicas' own
+        ``OVERLOADED`` when the last one reached shed them (so callers
+        can back off), :class:`CircuitOpen` when open circuits left
+        nothing to try, else :class:`ClusterError`."""
+        self.failed_requests += count
+        _log.error(
+            "request failed on every replica",
+            extra={"op": op, "count": count, "tried": sorted(tried),
+                   "error": str(last_error)},
+        )
+        if isinstance(last_error, ServiceError) and isinstance(last_error, RetryableError):
+            return last_error
+        if blocked:
+            self.breaker_fast_fails += count
+            return CircuitOpen(
+                f"every untried replica's circuit is open for {op} {what} "
+                f"(tried {sorted(tried) or 'none'})"
+            )
+        return ClusterError(
+            f"no shard could serve {op} {what} "
+            f"(tried {sorted(tried) or 'none'}): {last_error}"
+        )
+
+    def _deadline_gaveup(
+        self, op: str, what: str, count: int, attempts: int,
+        last_error: Exception | None,
+    ) -> DeadlineExceeded:
+        self.deadline_gaveups += count
+        return DeadlineExceeded(
+            f"deadline budget exhausted routing {op} {what} after "
+            f"{attempts} attempt(s) (last error: {last_error})"
+        )
+
     async def _route(
         self, op: str, a: str, b: str, mode, band, request,
         gap_open=None, gap_extend=None, trace: TraceContext | None = None,
@@ -411,36 +527,15 @@ class ShardRouter:
         route_start = _perf()
         tried: set[str] = set()
         last_error: Exception | None = None
-        blocked = False  # last candidate scan hit only open circuits
+        blocked = False  # last candidate scan skipped an open circuit
         cheapest: float | None = None  # fastest failed attempt: retry floor
         for attempt in range(self.max_attempts):
-            if deadline is not None:
-                # A first attempt runs on any positive budget; a retry
-                # must clear the floor — no point starting an attempt
-                # the budget provably can't cover.
-                floor = max(self.retry_min_budget, cheapest or 0.0) if attempt else 0.0
-                if deadline - time.monotonic() <= floor:
-                    self.deadline_gaveups += 1
-                    if route_ctx is not None:
-                        self._finish_route(route_ctx, route_start, op, tried, False)
-                    raise DeadlineExceeded(
-                        f"deadline budget exhausted routing {op} request after "
-                        f"{len(tried)} attempt(s) (last error: {last_error})"
-                    )
-            # Recompute candidates each attempt: evictions (ours or a
-            # concurrent request's) reshape the ring under us.
-            try:
-                candidates = self.ring.nodes_for(key, len(self.addresses))
-            except LookupError:
-                break  # ring empty: nothing left to try
-            blocked, shard = False, None
-            for s in candidates:
-                if s in tried:
-                    continue
-                if self._breaker(s).allow():
-                    shard = s
-                    break
-                blocked = True
+            if self._budget_spent(deadline, attempt, cheapest):
+                if route_ctx is not None:
+                    self._finish_route(route_ctx, route_start, op, tried, False)
+                raise self._deadline_gaveup(op, "request", 1, len(tried), last_error)
+            admits: dict[str, bool] = {}
+            shard, blocked = self._next_replica(key, tried, admits)
             if shard is None:
                 break
             tried.add(shard)
@@ -470,11 +565,7 @@ class ShardRouter:
             if self.hedge_delay is not None and op == "score" and attempt == 0:
                 done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay)
                 if not done and self._hedge_allowed():
-                    hedge_shard = next(
-                        (s for s in candidates
-                         if s not in tried and self._breaker(s).allow()),
-                        None,
-                    )
+                    hedge_shard, _ = self._next_replica(key, tried, admits)
                     if hedge_shard is not None:
                         tried.add(hedge_shard)
                         self.hedges += 1
@@ -494,64 +585,37 @@ class ShardRouter:
                 for task in done:
                     t_shard, t_ctx, t_start = tasks.pop(task)
                     exc = task.exception()
-                    if exc is None:
-                        # Success closes (or re-arms) the breaker even
-                        # when another copy already won — a half-open
-                        # trial must never leak its slot.
-                        self._breaker(t_shard).record_success()
+                    # Settled even when another copy already won — a
+                    # half-open trial must never leak its slot.
+                    outcome = self._settle(t_shard, exc)
+                    if outcome == "ok":
                         if value is _MISS:
                             # The task is done: this await just unwraps it.
                             value, winner = await task, t_shard
-                            if route_ctx is not None:
-                                self._finish_attempt(
-                                    t_ctx, t_start, t_shard, attempt, "ok"
-                                )
+                            self._finish_attempt(t_ctx, t_start, t_shard, attempt, "ok")
                         continue
+                    if outcome == "unknown":
+                        # Surface it unchanged.
+                        await self._abandon(tasks)
+                        raise exc
+                    if outcome == "rejected":
+                        # The request itself is bad: every replica
+                        # would reject it the same way.
+                        await self._abandon(tasks)
+                        self._finish_attempt(t_ctx, t_start, t_shard, attempt, "rejected")
+                        if route_ctx is not None:
+                            self._finish_route(route_ctx, route_start, op, tried, False)
+                        raise exc
+                    # shed or failed: retry elsewhere.
                     elapsed = _perf() - t_start
                     cheapest = elapsed if cheapest is None else min(cheapest, elapsed)
-                    if isinstance(exc, ServiceError) and isinstance(exc, RetryableError):
-                        # The shard answered with a shed: healthy but
-                        # loaded.  Retry elsewhere — no eviction, and
-                        # the breaker sees a *success* (the circuit
-                        # tracks connectivity, not load; a half-open
-                        # trial answered promptly is a passing trial).
-                        self._breaker(t_shard).record_success()
+                    last_error = exc
+                    if outcome == "shed":
                         self.shed_retries += 1
-                        last_error = exc
-                        if route_ctx is not None:
-                            self._finish_attempt(
-                                t_ctx, t_start, t_shard, attempt, "shed"
-                            )
-                        continue
-                    if isinstance(exc, ServiceError):
-                        # The shard answered: the request itself is bad
-                        # and every replica would reject it the same way.
-                        # Circuit-wise that's a healthy shard.
-                        self._breaker(t_shard).record_success()
-                        await self._abandon(tasks)
-                        if route_ctx is not None:
-                            self._finish_attempt(
-                                t_ctx, t_start, t_shard, attempt, "rejected"
-                            )
-                            self._finish_route(
-                                route_ctx, route_start, op, tried, False
-                            )
-                        raise exc
-                    if isinstance(exc, _SHARD_FAILURES):
-                        last_error = exc
-                        if route_ctx is not None:
-                            self._finish_attempt(
-                                t_ctx, t_start, t_shard, attempt,
-                                f"failed: {type(exc).__name__}",
-                            )
-                        self._breaker(t_shard).record_failure()
-                        self.mark_shard_down(t_shard)
-                        continue
-                    # Unknown failure: not evidence about the shard —
-                    # release any trial slot and surface it unchanged.
-                    self._breaker(t_shard).record_abandon()
-                    await self._abandon(tasks)
-                    raise exc
+                    self._finish_attempt(
+                        t_ctx, t_start, t_shard, attempt,
+                        "shed" if outcome == "shed" else f"failed: {type(exc).__name__}",
+                    )
             if value is _MISS:
                 continue  # every copy of this attempt failed
             await self._abandon(tasks)
@@ -566,32 +630,16 @@ class ShardRouter:
                     attempt > 0 or winner != shard,
                 )
             return value
-        self.failed_requests += 1
-        _log.error(
-            "request failed on every replica",
-            extra={"op": op, "tried": sorted(tried), "error": str(last_error)},
-        )
         if route_ctx is not None:
             self._finish_route(route_ctx, route_start, op, tried, False)
-        if isinstance(last_error, ServiceError) and isinstance(last_error, RetryableError):
-            # Every replica we reached shed the request: surface the
-            # typed OVERLOADED answer so callers can back off.
-            raise last_error
-        if blocked:
-            self.breaker_fast_fails += 1
-            raise CircuitOpen(
-                f"every untried replica's circuit is open for {op} request "
-                f"(tried {sorted(tried) or 'none'})"
-            )
-        raise ClusterError(
-            f"no shard could serve {op} request "
-            f"(tried {sorted(tried) or 'none'}): {last_error}"
-        )
+        raise self._give_up(op, "request", 1, tried, last_error, blocked)
 
     def _finish_attempt(
-        self, ctx: TraceContext, started: float, shard: str, attempt: int,
+        self, ctx: TraceContext | None, started: float, shard: str, attempt: int,
         outcome: str,
     ) -> None:
+        if ctx is None:  # untraced
+            return
         self.tracer.record_raw(
             ctx, "router.attempt", _wall() - (_perf() - started),
             _perf() - started,
@@ -660,59 +708,195 @@ class ShardRouter:
     async def request_many(
         self, entries: Sequence[dict], concurrency: int = 64
     ) -> list:
-        """Fan a heterogeneous batch out across shards; results in
-        request order.
+        """Route a heterogeneous batch as frames; results in request
+        order.
 
-        Each entry is ``{"op", "a", "b"}`` with optional ``"mode"`` /
-        ``"band"`` — the keyset-file shape, and what the CLI's mixed
-        workloads use.  ``asyncio.gather`` preserves argument order,
-        so position ``i`` of the returned list answers entry ``i`` —
-        regardless of which shard served it, in what order shards
-        answered, or whether failover rerouted it mid-flight.
+        Each entry is ``{"op", "a", "b"}`` plus any knobs (the
+        keyset-file shape, and what the CLI's mixed workloads use).
+        Entries are grouped by op and knob set, each group is split by
+        owning shard, and each shard gets one sub-frame per group
+        (:meth:`_route_frame`).  Position ``i`` of the returned list
+        answers entry ``i`` — regardless of which shard served it or
+        whether failover rerouted it.  If any entry failed, the first
+        failed entry's typed error is raised once every frame is done.
         """
-        semaphore = asyncio.Semaphore(max(1, concurrency))
+        groups: dict[tuple, list[int]] = {}
+        for k, entry in enumerate(entries):
+            knobs = tuple(entry.get(name) for name in _FRAME_KNOBS)
+            groups.setdefault((entry["op"], knobs), []).append(k)
+        results: list = [None] * len(entries)
+        errors: dict[int, Exception] = {}
+        limit = asyncio.Semaphore(max(1, concurrency))
 
-        async def one(entry: dict):
-            kwargs = {
-                "mode": entry.get("mode"),
-                "band": entry.get("band"),
-                "gap_open": entry.get("gap_open"),
-                "gap_extend": entry.get("gap_extend"),
-                "backend": entry.get("backend"),
-                "deadline_ms": entry.get("deadline_ms"),
-            }
-            if entry["op"] == "score":
-                fn = self.score
-            else:
-                fn = self.align
-                kwargs["memory"] = entry.get("memory")
-            async with semaphore:
-                return await fn(entry["a"], entry["b"], **kwargs)
+        async def group(op: str, knobs: tuple, idxs: list[int]) -> None:
+            kwargs = dict(zip(_FRAME_KNOBS, knobs))
+            if op != "align":
+                kwargs.pop("memory")
+            values, failed = await self._route_frame(
+                op, [(entries[k]["a"], entries[k]["b"]) for k in idxs], limit, **kwargs
+            )
+            for k, value in zip(idxs, values):
+                results[k] = value
+            errors.update((idxs[j], exc) for j, exc in failed.items())
 
-        return list(await asyncio.gather(*(one(e) for e in entries)))
+        await asyncio.gather(*(group(op, knobs, idxs) for (op, knobs), idxs in groups.items()))
+        if errors:
+            raise errors[min(errors)]
+        return results
 
-    async def _many(
+    async def _route_frame(
         self,
         op: str,
         pairs: Sequence[tuple[str, str]],
-        concurrency: int,
-        mode: str | None,
-        band: int | None,
+        limit: asyncio.Semaphore,
+        mode: str | None = None,
+        band: int | None = None,
         gap_open: float | None = None,
         gap_extend: float | None = None,
         memory: str | None = None,
         backend: str | None = None,
+        trace: TraceContext | None = None,
         deadline_ms: float | None = None,
-    ) -> list:
-        entries = [
-            {
-                "op": op, "a": a, "b": b, "mode": mode, "band": band,
-                "gap_open": gap_open, "gap_extend": gap_extend, "memory": memory,
-                "backend": backend, "deadline_ms": deadline_ms,
-            }
-            for a, b in pairs
-        ]
-        return await self.request_many(entries, concurrency=concurrency)
+    ) -> tuple[list, dict[int, Exception]]:
+        """Route one frame: split ``pairs`` by owning shard, send each
+        shard one sub-frame, and fail over per pair.
+
+        A sub-frame whose shard fails (connection-level) evicts the
+        shard and is re-split over the ring's survivors; pairs the
+        shard shed (``OVERLOADED``) go to their next replica without an
+        eviction.  Each pair is tried on at most ``max_attempts``
+        distinct shards, and a retry starts only while the deadline
+        budget covers it (the policy of :meth:`_route`).  Frames are
+        not hedged.  ``request_timeout`` bounds one pair's attempt, so
+        a sub-frame's attempt gets one ``request_timeout`` per
+        :data:`_PAIRS_PER_TIMEOUT` pairs it carries (see there).
+        ``limit`` bounds the frame lines in flight.  Returns
+        ``(results, errors)`` as :meth:`AsyncAlignmentClient.frame`
+        does; counters count pairs (``routed``, ``failovers``,
+        ``failed_requests``, ``shed_retries``, ``deadline_gaveups``)
+        or sub-frame attempts (``retries``).
+        """
+        keys = [self.key_for(op, a, b, mode, band, gap_open, gap_extend) for a, b in pairs]
+        deadline = deadline_from_budget_ms(deadline_ms)
+        knobs = {"mode": mode, "band": band, "gap_open": gap_open,
+                 "gap_extend": gap_extend, "backend": backend}
+        if op == "align":
+            knobs["memory"] = memory
+        results: list = [None] * len(pairs)
+        errors: dict[int, Exception] = {}
+        self._breaker_readmit()
+        route_ctx = trace.child() if trace is not None else None
+        route_start = _perf()
+        cheapest: list[float] = []  # failed attempts' durations: the retry floor
+
+        def fail(idxs: list[int], exc: Exception) -> None:
+            errors.update((i, exc) for i in idxs)
+
+        async def send(idxs: list[int], tried: frozenset, attempt: int,
+                       last_error: Exception | None) -> None:
+            if self._budget_spent(deadline, attempt, min(cheapest, default=None)):
+                fail(idxs, self._deadline_gaveup(op, "frame", len(idxs), len(tried), last_error))
+                return
+            # Split by each pair's next admissible replica; breakers are
+            # asked once per shard per split, so a half-open breaker's
+            # one trial is the whole sub-frame.
+            admits: dict[str, bool] = {}
+            by_shard: dict[str, list[int]] = {}
+            stuck: dict[bool, list[int]] = {}  # no replica left, by "circuit open"
+            for i in idxs:
+                shard, blocked = self._next_replica(keys[i], tried, admits)
+                if shard is None:
+                    stuck.setdefault(blocked, []).append(i)
+                else:
+                    by_shard.setdefault(shard, []).append(i)
+            for blocked, sub in stuck.items():
+                fail(sub, self._give_up(op, "frame", len(sub), tried, last_error, blocked))
+            await asyncio.gather(*(
+                attempt_shard(shard, sub, tried, attempt) for shard, sub in by_shard.items()
+            ))
+
+        async def attempt_shard(shard: str, idxs: list[int], tried: frozenset,
+                                attempt: int) -> None:
+            if attempt:
+                self.retries += 1
+                _log.warning(
+                    "failover retry",
+                    extra={"op": op, "shard": shard, "attempt": attempt + 1,
+                           "pairs": len(idxs)},
+                )
+            budget_ms = remaining_ms(deadline) if deadline is not None else None
+            timeout = self.request_timeout
+            if timeout is not None:
+                timeout *= -(-len(idxs) // _PAIRS_PER_TIMEOUT)
+            if deadline is not None:
+                rem = deadline - time.monotonic()
+                timeout = rem if timeout is None else min(timeout, rem)
+            ctx = route_ctx.child() if route_ctx is not None else None
+            start = _perf()
+            sub = [pairs[i] for i in idxs]
+            try:
+                values, failed = await self._call_shard(
+                    shard, op,
+                    lambda c: c.frame(op, sub, limit, ctx, deadline_ms=budget_ms, **knobs),
+                    timeout=timeout,
+                )
+            except BaseException as exc:
+                outcome = self._settle(shard, exc)
+                if outcome == "unknown":
+                    raise
+                if outcome == "rejected":
+                    # A bad frame: every replica would reject it the same way.
+                    self._finish_attempt(ctx, start, shard, attempt, "rejected")
+                    fail(idxs, exc)
+                    return
+                cheapest.append(_perf() - start)
+                self._finish_attempt(ctx, start, shard, attempt, f"failed: {type(exc).__name__}")
+                await retry(idxs, tried | {shard}, attempt, exc)
+                return
+            self._settle(shard, None)
+            self._finish_attempt(ctx, start, shard, attempt, "ok")
+            shed: list[int] = []
+            for j, i in enumerate(idxs):
+                exc = failed.get(j)
+                if exc is None:
+                    results[i] = values[j]
+                elif isinstance(exc, RetryableError):
+                    shed.append(i)  # healthy but loaded: next replica
+                    last = exc
+                else:
+                    errors[i] = exc
+            served = len(idxs) - len(failed)
+            self.routed[shard] += served
+            if attempt:
+                self.failovers += served
+            if shed:
+                self.shed_retries += len(shed)
+                cheapest.append(_perf() - start)
+                await retry(shed, tried | {shard}, attempt, last)
+
+        async def retry(idxs: list[int], tried: frozenset, attempt: int,
+                        exc: Exception) -> None:
+            if attempt + 1 < self.max_attempts:
+                await send(idxs, tried, attempt + 1, exc)
+            else:
+                fail(idxs, self._give_up(op, "frame", len(idxs), tried, exc, False))
+
+        await send(list(range(len(pairs))), frozenset(), 0, None)
+        if route_ctx is not None:
+            self.tracer.record_raw(
+                route_ctx, "router.route", _wall() - (_perf() - route_start),
+                _perf() - route_start,
+                {"op": op + "_many", "pairs": len(pairs), "failed": len(errors)},
+            )
+        return results, errors
+
+    async def _many(self, op: str, pairs, concurrency: int, **knobs) -> list:
+        results, errors = await self._route_frame(
+            op, pairs, asyncio.Semaphore(max(1, concurrency)), **knobs
+        )
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     async def score_many(
         self,
@@ -724,10 +908,14 @@ class ShardRouter:
         gap_extend: float | None = None,
         backend: str | None = None,
         deadline_ms: float | None = None,
+        trace: TraceContext | None = None,
     ) -> list[float]:
+        """Scores for every pair, in order, routed as one frame
+        (``concurrency`` bounds the sub-frames in flight).  Raises the
+        first failed pair's typed error, if any."""
         return await self._many(
-            "score", pairs, concurrency, mode, band, gap_open, gap_extend,
-            backend=backend, deadline_ms=deadline_ms,
+            "score", pairs, concurrency, mode=mode, band=band, gap_open=gap_open,
+            gap_extend=gap_extend, backend=backend, deadline_ms=deadline_ms, trace=trace,
         )
 
     async def align_many(
@@ -741,10 +929,13 @@ class ShardRouter:
         memory: str | None = None,
         backend: str | None = None,
         deadline_ms: float | None = None,
+        trace: TraceContext | None = None,
     ) -> list[Alignment]:
+        """Alignments for every pair, in order, routed as one frame."""
         return await self._many(
-            "align", pairs, concurrency, mode, band, gap_open, gap_extend, memory,
-            backend=backend, deadline_ms=deadline_ms,
+            "align", pairs, concurrency, mode=mode, band=band, gap_open=gap_open,
+            gap_extend=gap_extend, memory=memory, backend=backend,
+            deadline_ms=deadline_ms, trace=trace,
         )
 
     # -- stats --------------------------------------------------------

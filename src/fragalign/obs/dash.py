@@ -84,6 +84,7 @@ def build_state(
         samples = parsed["samples"]
         state["totals"] = {
             "requests": _labeled_sum(samples, "fragalign_requests_total"),
+            "frames": _labeled_sum(samples, "fragalign_frames_total"),
             "errors": samples.get(("fragalign_errors_total", ()), 0.0),
             "coalesced": samples.get(("fragalign_coalesced_total", ()), 0.0),
             "p50_ms": 1e3
@@ -122,6 +123,7 @@ def render_frame(state: dict, color: bool = True) -> str:
     if totals:
         summary = (
             f"requests {int(totals['requests'])}  "
+            f"frames {int(totals['frames'])}  "
             f"errors {int(totals['errors'])}  "
             f"coalesced {int(totals['coalesced'])}  "
             f"p50 {totals['p50_ms']:.2f}ms  p99 {totals['p99_ms']:.2f}ms"

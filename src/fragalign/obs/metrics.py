@@ -241,8 +241,8 @@ class Histogram(_Instrument):
         # One slot per bucket keeps memory O(#buckets) under any load.
         self._exemplars: dict[int, tuple[str, float, float]] = {}
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        """Record one observation.
+    def observe(self, value: float, exemplar: str | None = None, count: int = 1) -> None:
+        """Record one observation (``count`` of them, all of ``value``).
 
         ``exemplar`` (optional) attaches an identifying string — by
         convention a retained ``trace_id`` — to the bucket this value
@@ -258,9 +258,9 @@ class Histogram(_Instrument):
             else:
                 lo = mid + 1
         with self._lock:
-            self._counts[lo] += 1
-            self._sum += value
-            self._count += 1
+            self._counts[lo] += count
+            self._sum += value * count
+            self._count += count
             if exemplar is not None:
                 self._exemplars[lo] = (exemplar, value, time.time())
 

@@ -5,7 +5,8 @@ An asyncio JSON-lines alignment server whose core is a
 coalesced over a short window, deduplicated, and dispatched as single
 ``score_many``/``align_many`` calls on a configurable
 :class:`~fragalign.engine.AlignmentEngine` backend, with results
-fanned back out to the awaiting clients.  In front of the batcher sits
+fanned back out to the awaiting clients; a ``score_many``/``align_many``
+frame arrives with its batch already formed.  In front of the batcher sits
 a bounded LRU result cache keyed on ``(op, pair, mode, model)``, and a
 stats surface (request counters, batch sizes, cache hit rate, p50/p95
 latency) served by the ``stats`` request type.
@@ -20,7 +21,7 @@ Call (blocking client)::
 
     with AlignmentClient(port=8765) as client:
         score  = client.score("ACGT", "AGGT")
-        scores = client.score_many(pairs, concurrency=64)  # fills batches
+        scores = client.score_many(pairs)  # one frame, one engine batch
 
 or in-process / async::
 

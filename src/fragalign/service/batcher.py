@@ -7,6 +7,10 @@ flush-by-size path), then dispatched as *one* ``score_many`` /
 per-row Python sweep across the whole batch.  Results fan back out to
 the awaiting tasks through per-job futures.
 
+A frame's cache misses arrive pre-formed through :meth:`MicroBatcher.submit_group`:
+one call, dispatched at once as its own engine batch, with no flush
+window to wait out.
+
 Identical in-flight jobs are deduplicated: N concurrent requests for
 the same ``(op, a, b)`` share one future and cost one backend slot
 (the ``coalesced`` stat counts the N-1 free riders).
@@ -96,6 +100,7 @@ class MicroBatcher:
         self._pending: dict[Key, asyncio.Future] = {}  # queued and in-flight
         self._queue: list[Key] = []  # queued, not yet dispatched
         self._timer: asyncio.TimerHandle | None = None
+        self._groups: set[asyncio.Task] = set()  # submit_group dispatches in flight
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="fragalign-batch"
@@ -164,6 +169,57 @@ class MicroBatcher:
                 self._timer.cancel()
             self._timer = self._loop.call_later(delay, self.flush)
         return await fut
+
+    async def submit_group(
+        self,
+        op: str,
+        pairs: list[tuple[str, str]],
+        mode: str | None = None,
+        band: int | None = None,
+        gap_open: float | None = None,
+        gap_extend: float | None = None,
+        memory: str | None = None,
+        backend: str | None = None,
+    ) -> list:
+        """Dispatch a pre-formed group of jobs (one frame's cache
+        misses, sharing one knob set) as one engine batch, now.
+
+        Returns one entry per pair, in order: the result (as
+        :meth:`submit` returns it) or the exception that job failed
+        with.  A pair identical to a job already queued or computing
+        shares that job's future instead (``coalesced``), exactly as a
+        :meth:`submit` would.  Deadlines and trace interest ride the
+        same side-channels as for :meth:`submit`.
+        """
+        if self._loop is None:
+            self._loop = asyncio.get_running_loop()
+        knobs = {
+            "mode": mode,
+            "band": band,
+            "gap_open": gap_open,
+            "gap_extend": gap_extend,
+            "memory": memory,
+            "backend": backend,
+        }
+        head = (op, *(knobs[name] for name in GROUP_FIELDS))
+        futures = []
+        fresh: list[Key] = []
+        for pair in pairs:
+            key = head + tuple(pair)
+            fut = self._pending.get(key)
+            if fut is None:
+                fut = self._pending[key] = self._loop.create_future()
+                fresh.append(key)
+            elif self._stats is not None:
+                self._stats.observe_coalesced()
+            futures.append(fut)
+        if fresh:
+            # Its own batch, not the queue: the group is already formed,
+            # so waiting out the flush window would only add latency.
+            task = self._loop.create_task(self._run_batch(fresh))
+            self._groups.add(task)  # the loop holds tasks weakly
+            task.add_done_callback(self._groups.discard)
+        return await asyncio.gather(*futures, return_exceptions=True)
 
     def trace_job(
         self,

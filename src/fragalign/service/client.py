@@ -7,9 +7,9 @@ and a reader task routes each response back to its awaiting caller by
 lets the server's micro-batcher fill batches.
 
 :class:`AlignmentClient` is the blocking wrapper: it runs a private
-event loop on a background thread and exposes plain methods, plus
-``score_many``/``align_many`` batch helpers that fan out with a
-concurrency bound (the CLI load generator is built on these).
+event loop on a background thread and exposes plain methods.  Both
+carry ``score_many``/``align_many``, which send a pair list as one
+wire frame (the CLI load generator is built on these).
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from fragalign.align.pairwise import Alignment
 from fragalign.obs.trace import TraceContext
 from fragalign.service.protocol import (
     MAX_LINE,
+    ProtocolError,
     alignment_from_dict,
     decode_line,
     encode_line,
+    frame_errors,
+    frame_reply_bound,
     service_error_from,
 )
 
@@ -95,6 +98,13 @@ class AsyncAlignmentClient:
             self._waiting.clear()
 
     async def _request(self, op: str, **fields: Any) -> dict:
+        payload = {k: v for k, v in fields.items() if v is not None}
+        return await self._exchange({"op": op, **payload})
+
+    async def _exchange(self, obj: dict, max_line: int | None = None) -> dict | None:
+        """Send one request object, await its response.  With
+        ``max_line``, a line that would exceed it is not sent and
+        ``None`` is returned."""
         if self._reader_task.done():
             # The connection is gone (server closed mid-stream, or we
             # closed): surface a clean error instead of writing into a
@@ -102,11 +112,13 @@ class AsyncAlignmentClient:
             raise self._conn_error or ConnectionError("client connection closed")
         rid = self._next_id
         self._next_id += 1
+        line = encode_line({"id": rid, **obj})
+        if max_line is not None and len(line) > max_line:
+            return None
         fut = asyncio.get_running_loop().create_future()
         self._waiting[rid] = fut
-        payload = {k: v for k, v in fields.items() if v is not None}
         try:
-            self._writer.write(encode_line({"id": rid, "op": op, **payload}))
+            self._writer.write(line)
             # Bounded: a server that stopped reading must fail this
             # request, not pin it forever.
             await asyncio.wait_for(self._writer.drain(), timeout=self.WRITE_TIMEOUT)
@@ -125,8 +137,67 @@ class AsyncAlignmentClient:
         if not response.get("ok"):
             raise service_error_from(response)
         if response.get("degraded"):
-            self.degraded_responses += 1
+            self.degraded_responses += (
+                len(response["degraded"]) if isinstance(response["degraded"], list) else 1
+            )
         return response
+
+    async def frame(
+        self,
+        op: str,
+        pairs: Sequence[tuple[str, str]],
+        limit: asyncio.Semaphore | None = None,
+        trace: TraceContext | None = None,
+        **knobs: Any,
+    ) -> tuple[list, dict[int, Exception]]:
+        """Send ``pairs`` as one ``score_many``/``align_many`` frame
+        (``op`` is ``"score"`` or ``"align"``; ``knobs`` are the pair
+        ops' keyword arguments, shared by every pair).
+
+        Returns ``(results, errors)``: results in request order (a
+        float or an :class:`Alignment`, ``None`` where the pair
+        failed) and the typed per-pair errors by index.  A frame whose
+        request line, or whose answer's :func:`frame_reply_bound`,
+        would exceed :data:`MAX_LINE` is split in halves, sent
+        concurrently; ``limit`` bounds the lines in flight.  A single
+        pair too long for any line fails alone with a
+        :class:`ProtocolError`.  A failure of the frame as a whole
+        (connection loss, a bad knob) raises.
+        """
+        response = None
+        if frame_reply_bound(op, pairs) <= MAX_LINE:
+            obj = {"op": op + "_many", "pairs": pairs}
+            obj.update((k, v) for k, v in knobs.items() if v is not None)
+            if trace is not None:
+                obj["trace_id"], obj["span_id"] = trace.trace_id, trace.span_id
+            if limit is None:
+                response = await self._exchange(obj, max_line=MAX_LINE)
+            else:
+                async with limit:
+                    response = await self._exchange(obj, max_line=MAX_LINE)
+        if response is None:
+            if len(pairs) == 1:
+                return [None], {0: ProtocolError(f"pair too long for one {MAX_LINE}-byte line")}
+            mid = len(pairs) // 2
+            (left, left_errors), (right, right_errors) = await asyncio.gather(
+                self.frame(op, pairs[:mid], limit, trace, **knobs),
+                self.frame(op, pairs[mid:], limit, trace, **knobs),
+            )
+            left_errors.update((mid + k, exc) for k, exc in right_errors.items())
+            return left + right, left_errors
+        results = response["result"]
+        if op == "align":
+            results = [None if r is None else alignment_from_dict(r) for r in results]
+        return results, frame_errors(response)
+
+    async def _many(self, op: str, pairs, concurrency: int | None, **knobs) -> list:
+        results, errors = await self.frame(
+            op, list(pairs),
+            asyncio.Semaphore(concurrency) if concurrency else None, **knobs,
+        )
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     # -- operations ---------------------------------------------------
     # mode/band/gap_open/gap_extend (and memory, for align) select the
@@ -224,6 +295,48 @@ class AsyncAlignmentClient:
             deadline_ms=deadline_ms,
         )
         return alignment_from_dict(response["result"]), bool(response.get("cached"))
+
+    async def score_many(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        mode: str | None = None,
+        band: int | None = None,
+        gap_open: float | None = None,
+        gap_extend: float | None = None,
+        backend: str | None = None,
+        trace: TraceContext | None = None,
+        deadline_ms: float | None = None,
+        concurrency: int | None = None,
+    ) -> list[float]:
+        """Scores for every pair, in order, from one ``score_many``
+        frame (split only to stay under :data:`MAX_LINE`;
+        ``concurrency`` bounds the split frames in flight).  Raises the
+        first pair's error, if any pair failed."""
+        return await self._many(
+            "score", pairs, concurrency, mode=mode, band=band, gap_open=gap_open,
+            gap_extend=gap_extend, backend=backend, trace=trace, deadline_ms=deadline_ms,
+        )
+
+    async def align_many(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        mode: str | None = None,
+        band: int | None = None,
+        gap_open: float | None = None,
+        gap_extend: float | None = None,
+        memory: str | None = None,
+        backend: str | None = None,
+        trace: TraceContext | None = None,
+        deadline_ms: float | None = None,
+        concurrency: int | None = None,
+    ) -> list[Alignment]:
+        """Alignments for every pair, in order, from one ``align_many``
+        frame (see :meth:`score_many`)."""
+        return await self._many(
+            "align", pairs, concurrency, mode=mode, band=band, gap_open=gap_open,
+            gap_extend=gap_extend, memory=memory, backend=backend, trace=trace,
+            deadline_ms=deadline_ms,
+        )
 
     async def stats(self) -> dict:
         return (await self._request("stats"))["result"]
@@ -441,27 +554,6 @@ class AlignmentClient:
     def shutdown(self) -> None:
         self._with_retry(lambda: self._client.shutdown())
 
-    def _map(
-        self,
-        op_name: str,
-        pairs: Sequence[tuple[str, str]],
-        concurrency: int,
-        trace_ctxs: Sequence[TraceContext] | None = None,
-        **kwargs,
-    ):
-        async def fan_out():
-            semaphore = asyncio.Semaphore(max(1, concurrency))
-            op = getattr(self._client, op_name)
-
-            async def one(k, pair):
-                async with semaphore:
-                    ctx = trace_ctxs[k] if trace_ctxs is not None else None
-                    return await op(*pair, trace=ctx, **kwargs)
-
-            return await asyncio.gather(*(one(k, p) for k, p in enumerate(pairs)))
-
-        return self._with_retry(fan_out)
-
     def score_many(
         self,
         pairs: Sequence[tuple[str, str]],
@@ -471,18 +563,18 @@ class AlignmentClient:
         gap_open: float | None = None,
         gap_extend: float | None = None,
         backend: str | None = None,
-        trace_ctxs: Sequence[TraceContext] | None = None,
         deadline_ms: float | None = None,
+        trace: TraceContext | None = None,
     ) -> list[float]:
-        """Scores for all pairs, pipelined ``concurrency`` at a time.
-
-        ``trace_ctxs`` (optional, one per pair) sends each request
-        under its own trace context.
-        """
-        return self._map(
-            "score", pairs, concurrency, trace_ctxs=trace_ctxs, mode=mode,
-            band=band, gap_open=gap_open, gap_extend=gap_extend,
-            backend=backend, deadline_ms=deadline_ms,
+        """Scores for all pairs from one ``score_many`` frame
+        (``concurrency`` bounds frames in flight when the pairs need
+        more than one line)."""
+        return self._with_retry(
+            lambda: self._client.score_many(
+                pairs, mode=mode, band=band, gap_open=gap_open, gap_extend=gap_extend,
+                backend=backend, trace=trace, deadline_ms=deadline_ms,
+                concurrency=concurrency,
+            )
         )
 
     def align_many(
@@ -495,14 +587,16 @@ class AlignmentClient:
         gap_extend: float | None = None,
         memory: str | None = None,
         backend: str | None = None,
-        trace_ctxs: Sequence[TraceContext] | None = None,
         deadline_ms: float | None = None,
+        trace: TraceContext | None = None,
     ) -> list[Alignment]:
-        """Alignments for all pairs, pipelined ``concurrency`` at a time."""
-        return self._map(
-            "align", pairs, concurrency, trace_ctxs=trace_ctxs, mode=mode,
-            band=band, gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend, deadline_ms=deadline_ms,
+        """Alignments for all pairs from one ``align_many`` frame."""
+        return self._with_retry(
+            lambda: self._client.align_many(
+                pairs, mode=mode, band=band, gap_open=gap_open, gap_extend=gap_extend,
+                memory=memory, backend=backend, trace=trace, deadline_ms=deadline_ms,
+                concurrency=concurrency,
+            )
         )
 
     # -- lifecycle ----------------------------------------------------

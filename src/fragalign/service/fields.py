@@ -8,7 +8,10 @@ the cluster ring's routing key, and the warm-keyset file format.  Any
 new knob had to be threaded through all of them identically, and
 nothing checked that it was.
 
-This module is now the single registry those layers consume.  Each
+This module is now the single registry those layers consume — the
+``score_many``/``align_many`` frames included: a frame carries the same
+knobs once for all its pairs, so its parser and the batcher's group
+entry point are checked against this registry too.  Each
 :class:`FieldSpec` says where its field participates:
 
 ``cache_key``

@@ -84,6 +84,40 @@ whether the result came from the server's LRU result cache.  Lines are
 capped at :data:`MAX_LINE` bytes (both sides configure their stream
 reader with it), which bounds sequence length to roughly half a
 megabyte per request.
+
+Frames (``score_many``/``align_many``) carry a pair list plus *one*
+set of the knobs above, which apply to every pair; ``deadline_ms`` and
+the trace context likewise cover the whole frame::
+
+    {"id": 13, "op": "score_many", "pairs": [["ACGT", "AGGT"], ["AC", "AG"]],
+               "mode": "overlap", "deadline_ms": 200}
+    {"id": 14, "op": "align_many", "pairs": [["ACGT", "AGGT"]], "memory": "linear"}
+
+Each pair counts as one ``score``/``align`` request (cache, admission,
+batching and metrics are per pair, so a frame may be partly cached).
+The answer is one line, results in request order::
+
+    {"id": 13, "ok": true, "result": [2.0, null], "cached": [0],
+     "errors": [{"i": 1, "error": "deadline expired ...",
+                 "code": "DEADLINE_EXCEEDED"}]}
+
+The per-pair error envelope: a failed pair's ``result`` slot is
+``null`` and ``errors`` holds ``{"i": index, "error": message}`` plus
+the ``code`` when there is one (``DEADLINE_EXCEEDED``, ``OVERLOADED``;
+none for a bad pair, e.g. an entry that is not two strings or a band
+too narrow for it).  One bad pair never fails the rest.  ``cached``
+and ``degraded`` list the indices answered from the cache or in
+degraded form; ``cached``, ``degraded`` and ``errors`` are omitted when
+empty.  A frame that is malformed as a whole (``pairs`` not a list, a
+bad knob) is answered like any bad request: ``ok: false``.
+
+The answer line is capped at :data:`MAX_LINE` like the request, and an
+``align_many`` answer is several times the size of its request (about
+ten bytes per aligned column against two).  A per-pair error message
+is clipped to :data:`PAIR_ERROR_CHARS` printable ASCII characters, so
+:func:`frame_reply_bound` is a hard upper bound on the answer's size,
+computed from the request alone; clients split a frame until both its
+request and that bound fit in one line.
 """
 
 from __future__ import annotations
@@ -105,6 +139,7 @@ __all__ = [
     "MODES",
     "OPS",
     "PAIR_OPS",
+    "FRAME_OPS",
     "FIELD_NAMES",
     "ProtocolError",
     "ServiceError",
@@ -112,11 +147,18 @@ __all__ = [
     "OverloadedError",
     "service_error_from",
     "Request",
+    "Frame",
     "parse_request",
+    "parse_frame",
     "encode_line",
     "decode_line",
     "ok_response",
     "error_response",
+    "frame_response",
+    "frame_errors",
+    "frame_reply_bound",
+    "clip_error",
+    "PAIR_ERROR_CHARS",
     "alignment_to_dict",
     "alignment_from_dict",
 ]
@@ -125,6 +167,7 @@ MAX_LINE = 1 << 20  # 1 MiB per protocol line (reader buffer limit)
 
 OPS = ("score", "align", "stats", "metrics", "trace", "slo", "ping", "shutdown")
 PAIR_OPS = ("score", "align")
+FRAME_OPS = ("score_many", "align_many")  # each carries its pair op + "_many"
 
 
 class ProtocolError(FragalignError):
@@ -201,6 +244,38 @@ assert {f.name for f in dataclasses.fields(Request)} == {"id", "op", "a", "b", *
 )
 
 
+@dataclass(frozen=True)
+class Frame:
+    """One validated ``score_many``/``align_many`` frame: a pair list
+    plus one set of knobs (``None`` = the server's default).
+
+    Each ``pairs`` entry is an ``(a, b)`` tuple, or the
+    :class:`ProtocolError` that rejected that entry.
+    """
+
+    id: Any
+    op: str
+    pairs: tuple = ()
+    mode: str | None = None
+    band: int | None = None
+    gap_open: float | None = None
+    gap_extend: float | None = None
+    memory: str | None = None
+    backend: str | None = None
+    trace_id: str | None = None  # one trace context for the whole frame
+    span_id: str | None = None
+    deadline_ms: float | None = None  # one remaining budget for every pair
+
+    @property
+    def pair_op(self) -> str:
+        return self.op.removesuffix("_many")
+
+
+assert {f.name for f in dataclasses.fields(Frame)} == {"id", "op", "pairs", *FIELD_NAMES}, (
+    "Frame fields out of sync with the service.fields registry"
+)
+
+
 def encode_line(obj: dict) -> bytes:
     """Serialize one protocol object to a compact JSON line."""
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
@@ -217,70 +292,117 @@ def decode_line(line: bytes | str) -> dict:
     return obj
 
 
-def parse_request(obj: dict) -> Request:
-    """Validate a decoded request object."""
-    op = obj.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
-    # Trace context is accepted on *every* op: pair ops propagate it,
-    # and the trace op uses trace_id as its drain filter.
+def _parse_trace(obj: dict) -> tuple[str | None, str | None]:
+    """The trace-context fields, accepted on *every* op: pair ops and
+    frames propagate them, and the trace op uses trace_id as its drain
+    filter."""
     trace_id, span_id = obj.get("trace_id"), obj.get("span_id")
     if trace_id is not None and not isinstance(trace_id, str):
         raise ProtocolError(f"trace_id must be a string, got {trace_id!r}")
     if span_id is not None and not isinstance(span_id, str):
         raise ProtocolError(f"span_id must be a string, got {span_id!r}")
+    return trace_id, span_id
+
+
+def _parse_knobs(obj: dict, op: str) -> dict:
+    """The per-request knobs of a pair request or frame (``op`` is the
+    pair op, ``score`` or ``align``), validated and coerced."""
+    mode = obj.get("mode")
+    if mode is not None and mode not in MODES:
+        raise ProtocolError(f"unknown mode {mode!r} (expected one of {MODES})")
+    band = obj.get("band")
+    if band is not None and (
+        isinstance(band, bool) or not isinstance(band, int) or band < 0
+    ):
+        raise ProtocolError(f"band must be a non-negative integer, got {band!r}")
+    gap_open, gap_extend = obj.get("gap_open"), obj.get("gap_extend")
+    if gap_open is not None or gap_extend is not None:
+        try:
+            # One source of truth for the gap rules (and the float
+            # coercion that makes 4 and 4.0 key identically).
+            gap_open, gap_extend = check_affine_gaps(gap_open, gap_extend)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+    memory = obj.get("memory")
+    if memory is not None:
+        if memory not in MEMORY_MODES:
+            raise ProtocolError(
+                f"unknown memory mode {memory!r} (expected one of {MEMORY_MODES})"
+            )
+        if op != "align":
+            raise ProtocolError("memory only applies to align requests")
+    backend = obj.get("backend")
+    if backend is not None and not isinstance(backend, str):
+        # Membership in the registry is validated server-side
+        # (available_backends() is a runtime set, not a wire constant).
+        raise ProtocolError(f"backend must be a string, got {backend!r}")
+    deadline_ms = obj.get("deadline_ms")
+    if deadline_ms is not None:
+        if (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not math.isfinite(deadline_ms)
+            or deadline_ms <= 0
+        ):
+            raise ProtocolError(
+                f"deadline_ms must be a positive finite number, got {deadline_ms!r}"
+            )
+        deadline_ms = float(deadline_ms)
+    return {
+        "mode": mode, "band": band, "gap_open": gap_open, "gap_extend": gap_extend,
+        "memory": memory, "backend": backend, "deadline_ms": deadline_ms,
+    }
+
+
+def parse_request(obj: dict) -> Request | Frame:
+    """Validate a decoded request object (a frame op yields a :class:`Frame`)."""
+    op = obj.get("op")
+    if op in FRAME_OPS:
+        return parse_frame(obj)
+    if op not in OPS:
+        raise ProtocolError(f"unknown op {op!r} (expected one of {(*OPS, *FRAME_OPS)})")
+    trace_id, span_id = _parse_trace(obj)
     if op in PAIR_OPS:
         a, b = obj.get("a"), obj.get("b")
         if not isinstance(a, str) or not isinstance(b, str):
             raise ProtocolError(f"op {op!r} needs string fields 'a' and 'b'")
-        mode = obj.get("mode")
-        if mode is not None and mode not in MODES:
-            raise ProtocolError(f"unknown mode {mode!r} (expected one of {MODES})")
-        band = obj.get("band")
-        if band is not None and (
-            isinstance(band, bool) or not isinstance(band, int) or band < 0
-        ):
-            raise ProtocolError(f"band must be a non-negative integer, got {band!r}")
-        gap_open, gap_extend = obj.get("gap_open"), obj.get("gap_extend")
-        if gap_open is not None or gap_extend is not None:
-            try:
-                # One source of truth for the gap rules (and the float
-                # coercion that makes 4 and 4.0 key identically).
-                gap_open, gap_extend = check_affine_gaps(gap_open, gap_extend)
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
-        memory = obj.get("memory")
-        if memory is not None:
-            if memory not in MEMORY_MODES:
-                raise ProtocolError(
-                    f"unknown memory mode {memory!r} (expected one of {MEMORY_MODES})"
-                )
-            if op != "align":
-                raise ProtocolError("memory only applies to align requests")
-        backend = obj.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            # Membership in the registry is validated server-side
-            # (available_backends() is a runtime set, not a wire constant).
-            raise ProtocolError(f"backend must be a string, got {backend!r}")
-        deadline_ms = obj.get("deadline_ms")
-        if deadline_ms is not None:
-            if (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or not math.isfinite(deadline_ms)
-                or deadline_ms <= 0
-            ):
-                raise ProtocolError(
-                    f"deadline_ms must be a positive finite number, got {deadline_ms!r}"
-                )
-            deadline_ms = float(deadline_ms)
         return Request(
-            id=obj.get("id"), op=op, a=a, b=b, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend, trace_id=trace_id, span_id=span_id,
-            deadline_ms=deadline_ms,
+            id=obj.get("id"), op=op, a=a, b=b, trace_id=trace_id, span_id=span_id,
+            **_parse_knobs(obj, op),
         )
     return Request(id=obj.get("id"), op=op, trace_id=trace_id, span_id=span_id)
+
+
+def parse_frame(obj: dict) -> Frame:
+    """Validate a decoded ``score_many``/``align_many`` frame.
+
+    A malformed frame (unknown op, ``pairs`` not a list, a bad knob)
+    raises :class:`ProtocolError`; a malformed *entry* only marks that
+    entry: its slot in ``Frame.pairs`` holds the ``ProtocolError``, so
+    the server answers it with a per-pair error and serves the rest.
+    """
+    op = obj.get("op")
+    if op not in FRAME_OPS:
+        raise ProtocolError(f"unknown frame op {op!r} (expected one of {FRAME_OPS})")
+    trace_id, span_id = _parse_trace(obj)
+    raw = obj.get("pairs")
+    if not isinstance(raw, list):
+        raise ProtocolError(f"op {op!r} needs a list field 'pairs'")
+    pairs: list = []
+    for entry in raw:
+        if (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+        ):
+            pairs.append((entry[0], entry[1]))
+        else:
+            pairs.append(ProtocolError(f"a pair must be a list of two strings, got {entry!r:.60}"))
+    return Frame(
+        id=obj.get("id"), op=op, pairs=tuple(pairs), trace_id=trace_id, span_id=span_id,
+        **_parse_knobs(obj, op.removesuffix("_many")),
+    )
 
 
 def ok_response(request_id: Any, result: Any, cached: bool | None = None,
@@ -298,6 +420,69 @@ def error_response(request_id: Any, message: str, code: str | None = None) -> di
     if code is not None:
         obj["code"] = code
     return obj
+
+
+def frame_response(request_id: Any, results: list, errors: list, cached: list,
+                   degraded: list) -> dict:
+    """A frame's one response line.  ``errors`` holds the per-pair
+    error entries (``{"i", "error"[, "code"]}``); ``cached`` and
+    ``degraded`` list the indices answered from the cache or in
+    degraded form.  Empty lists are elided."""
+    obj: dict = {"id": request_id, "ok": True, "result": results}
+    if cached:
+        obj["cached"] = cached
+    if degraded:
+        obj["degraded"] = degraded
+    if errors:
+        obj["errors"] = errors
+    return obj
+
+
+PAIR_ERROR_CHARS = 160  # per-pair error message cap (see clip_error)
+
+# Answer bytes per pair besides its result: the index in ``cached`` or
+# ``degraded`` (at most one of them; a frame line holds < 10**7 pairs).
+_INDEX_BYTES = 8
+# A failed pair: ``null,`` in ``result`` plus its envelope
+# ``{"i":<index>,"error":"<message>","code":"<code>"},`` with every
+# message character JSON-escaped to at most two bytes.
+_ERROR_BYTES = 5 + 2 * PAIR_ERROR_CHARS + 64
+# One score (a JSON float is at most 24 characters) and its comma.
+_SCORE_BYTES = 25
+_FRAME_REPLY_OVERHEAD = 128  # id, ok, the four keys, brackets
+
+
+def clip_error(message: str) -> str:
+    """A per-pair error message as at most :data:`PAIR_ERROR_CHARS`
+    printable ASCII characters (others become ``?``), so its share of a
+    frame answer is bounded."""
+    text = message[:PAIR_ERROR_CHARS]
+    if text.isascii() and text.isprintable():
+        return text
+    return "".join(c if " " <= c <= "~" else "?" for c in text)
+
+
+def frame_reply_bound(op: str, pairs) -> int:
+    """Upper bound, in bytes, on the answer line of a frame of ``pairs``
+    (``op`` is the pair op, ``score`` or ``align``).  An alignment
+    aligns at most ``min(len(a), len(b))`` columns, each ``[i,j],``."""
+    if op != "align":
+        return _FRAME_REPLY_OVERHEAD + len(pairs) * (
+            max(_SCORE_BYTES, _ERROR_BYTES) + _INDEX_BYTES
+        )
+    total = _FRAME_REPLY_OVERHEAD
+    for a, b in pairs:
+        digits = len(str(max(len(a), len(b))))
+        # score + keys + intervals, then the aligned columns.
+        result = 80 + 4 * (digits + 1) + min(len(a), len(b)) * (2 * digits + 4)
+        total += max(result, _ERROR_BYTES) + _INDEX_BYTES
+    return total
+
+
+def frame_errors(response: dict) -> dict[int, ServiceError]:
+    """Typed client-side exceptions for a frame response's per-pair
+    errors, keyed by pair index."""
+    return {entry["i"]: service_error_from(entry) for entry in response.get("errors", ())}
 
 
 def alignment_to_dict(aln: Alignment) -> dict:

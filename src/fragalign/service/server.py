@@ -45,13 +45,17 @@ from fragalign.obs.trace import (
 from fragalign.service.batcher import MicroBatcher
 from fragalign.service.fields import cache_key_fields
 from fragalign.service.protocol import (
+    FRAME_OPS,
     MAX_LINE,
     ProtocolError,
     alignment_to_dict,
+    clip_error,
     decode_line,
     encode_line,
     error_response,
+    frame_response,
     ok_response,
+    parse_frame,
     parse_request,
 )
 from fragalign.service.stats import ServiceStats
@@ -294,17 +298,18 @@ class AlignmentService:
         }
         return (op, a, b, *(knobs[name] for name in _CACHE_FIELDS), self._model_fp)
 
-    def _resolve_request(
-        self, request
+    def _resolve_knobs(
+        self, op: str, request
     ) -> tuple[str, int | None, float | None, float | None, str | None, str]:
-        """Per-request knobs with the server's defaults applied.
+        """Per-request knobs with the server's defaults applied, for a
+        :class:`Request` or a :class:`Frame` (``op`` is the pair op).
 
-        Raises :class:`ProtocolError` for requests that are unservable
-        (no band anywhere, a band too narrow for the pair,
-        ``memory="linear"`` with banded mode / affine gaps, or an
-        unregistered backend name) *before* they reach the batcher, so
-        a bad request can only ever fail itself, never the batch it
-        would have joined.
+        Raises :class:`ProtocolError` for knob sets that are unservable
+        (no band anywhere, ``memory="linear"`` with banded mode / affine
+        gaps, or an unregistered backend name) *before* they reach the
+        batcher, so a bad request can only ever fail itself, never the
+        batch it would have joined.  The band is not yet checked
+        against a pair's lengths (:meth:`_check_band` does that).
         """
         mode = request.mode or self.engine.mode
         if request.gap_open is not None:
@@ -316,7 +321,7 @@ class AlignmentService:
         # batcher groups "memory omitted" with "memory sent explicitly
         # as the default" instead of splitting the batch.
         memory = None
-        if request.op == "align":
+        if op == "align":
             memory = request.memory if request.memory is not None else self.engine.memory
         if memory == "linear":
             conflict = linear_memory_conflict(mode, gap_open is not None)
@@ -340,12 +345,15 @@ class AlignmentService:
             raise ProtocolError(
                 "mode 'banded' needs a band (request field or server default)"
             )
-        if band < abs(len(request.a) - len(request.b)):
-            raise ProtocolError(
-                f"band {band} too narrow for lengths "
-                f"{len(request.a)}/{len(request.b)}"
-            )
         return mode, band, gap_open, gap_extend, memory, backend
+
+    @staticmethod
+    def _check_band(band: int | None, a: str, b: str) -> None:
+        """Reject a pair its (resolved) band is too narrow for."""
+        if band is not None and band < abs(len(a) - len(b)):
+            raise ProtocolError(
+                f"band {band} too narrow for lengths {len(a)}/{len(b)}"
+            )
 
     # -- metrics exposition -------------------------------------------
 
@@ -501,6 +509,9 @@ class AlignmentService:
         jrec: dict | None = None  # journal disposition, filled by _dispatch
         try:
             obj = decode_line(line)
+            if obj.get("op") in FRAME_OPS:
+                await self._serve_frame(obj, writer, write_lock, read_s, t0)
+                return
             request_id = obj.get("id")
             request = parse_request(obj)
             # The server-side span for this request: parented under the
@@ -576,10 +587,24 @@ class AlignmentService:
                     include_sequences=self.config.journal_sequences,
                 )
             )
+        await self._write_response(
+            writer, write_lock, response, ctx, tlog if retained else None,
+            request.op if request is not None else None, duration,
+        )
+        if request is not None and request.op == "shutdown":
+            # Only after the answer is on the wire: stop accepting and
+            # release wait_closed() to wind the service down.
+            self.stop()
+
+    async def _write_response(
+        self, writer, write_lock, response: dict, ctx, tlog, op, duration: float
+    ) -> None:
+        """Write one response line; buffer the request's spans when its
+        trace is retained (``tlog`` is ``None`` otherwise)."""
         async with write_lock:
             write_start = time.perf_counter()
             writer.write(encode_line(response))
-            if ctx is not None and tlog is not None and retained:
+            if ctx is not None and tlog is not None:
                 # Buffered *before* any bytes flush, so a trace drain
                 # fired on response receipt always sees the full tree.
                 now = time.time()
@@ -589,8 +614,7 @@ class AlignmentService:
                     Span(
                         ctx.trace_id, ctx.span_id, ctx.parent_id,
                         "server.request", now - duration, duration,
-                        {"op": request.op if request is not None else None,
-                         "ok": bool(response.get("ok"))},
+                        {"op": op, "ok": bool(response.get("ok"))},
                     )
                 )
                 self.tracer.extend(tlog)
@@ -606,10 +630,6 @@ class AlignmentService:
                 writer.transport.abort()  # wedged peer: drop the connection
             except (ConnectionError, OSError):
                 pass
-        if request is not None and request.op == "shutdown":
-            # Only after the answer is on the wire: stop accepting and
-            # release wait_closed() to wind the service down.
-            self.stop()
 
     async def _dispatch(
         self, request, ctx=None, tlog=None, deadline=None, jrec=None
@@ -650,9 +670,10 @@ class AlignmentService:
         if request.op == "shutdown":
             return ok_response(request.id, "bye")  # _serve_line stops after
         # score / align
-        mode, band, gap_open, gap_extend, memory, backend = self._resolve_request(
-            request
+        mode, band, gap_open, gap_extend, memory, backend = self._resolve_knobs(
+            request.op, request
         )
+        self._check_band(band, request.a, request.b)
         # Already-expired work is rejected before it can touch the
         # cache or join a batch: the caller has given up, so any cycles
         # spent on it are stolen from live requests.
@@ -799,6 +820,242 @@ class AlignmentService:
             jrec["disposition"] = "computed"
         return ok_response(request.id, result, cached=False)
 
+    # -- frames -------------------------------------------------------
+
+    async def _serve_frame(
+        self, obj: dict, writer, write_lock, read_s: float, t0: float
+    ) -> None:
+        """Answer one ``score_many``/``align_many`` frame with one line.
+
+        Each pair is accounted as one ``score``/``align`` request
+        (requests, errors, modes, cache, admission, batches and the
+        latency histograms, where each pair observes the frame's
+        service time); ``fragalign_frames_total`` counts the frame.
+        Server-initiated tail sampling covers single requests only: a
+        frame is traced when its caller sends a trace context.
+        """
+        op, n, ctx, tlog = None, 1, None, None
+        frame = None
+        try:
+            frame = parse_frame(obj)
+            op, n = frame.pair_op, len(frame.pairs)
+            self.stats.observe_frame(op)
+            self.stats.observe_request(op, n)
+            ctx = child_context(frame.trace_id, frame.span_id)
+            if ctx is not None:
+                tlog = [leaf_entry(ctx, "server.read", time.time() - read_s, read_s)]
+            response = await self._dispatch_frame(frame, ctx, tlog)
+        except Exception as exc:  # the frame as a whole is bad
+            self.stats.observe_error(op, n)
+            message = str(exc) if isinstance(exc, ProtocolError) else f"{type(exc).__name__}: {exc}"
+            response = error_response(obj.get("id"), message)
+        duration = time.perf_counter() - t0
+        self.stats.observe_latency(
+            duration, op=op, exemplar=ctx.trace_id if ctx is not None else None, count=n
+        )
+        if self.journal is not None and frame is not None:
+            self._journal_frame(frame, response, duration)
+        await self._write_response(
+            writer, write_lock, response, ctx, tlog, obj.get("op"), duration
+        )
+
+    async def _dispatch_frame(self, frame, ctx, tlog) -> dict:
+        op = frame.pair_op
+        mode, band, gap_open, gap_extend, memory, backend = self._resolve_knobs(op, frame)
+        # One deadline check for the whole frame: every pair shares it.
+        deadline = deadline_from_budget_ms(frame.deadline_ms)
+        late = expired(deadline)
+        n = len(frame.pairs)
+        results: list = [None] * n
+        errors: list[dict] = []
+        cached: list[int] = []
+        degraded: list[int] = []
+
+        def fail(i: int, exc: BaseException) -> None:
+            self.stats.observe_error(op)
+            if isinstance(exc, (ProtocolError, DeadlineExceeded, Overloaded)):
+                message = str(exc)
+            else:
+                message = f"{type(exc).__name__}: {exc}"
+            # Clipped: frame_reply_bound holds only for bounded messages.
+            entry = {"i": i, "error": clip_error(message)}
+            code = _error_code(exc)
+            if code is not None:
+                entry["code"] = code
+            errors.append(entry)
+
+        misses: list[tuple[int, tuple, int]] = []  # (index, cache key, admitted cost)
+        first: dict[tuple, int] = {}  # cache key -> index of its miss in this frame
+        dups: list[tuple[int, tuple, int]] = []  # (index, key, index of its twin)
+        joins: list[tuple[int, asyncio.Future]] = []  # twins computing elsewhere
+        valid = 0
+        cache_start = time.perf_counter()
+        for i, pair in enumerate(frame.pairs):
+            if isinstance(pair, ProtocolError):
+                fail(i, pair)
+                continue
+            a, b = pair
+            try:
+                self._check_band(band, a, b)
+            except ProtocolError as exc:
+                fail(i, exc)
+                continue
+            if late:
+                self.stats.observe_deadline_exceeded()
+                fail(i, DeadlineExceeded("deadline expired before the request was scheduled"))
+                continue
+            valid += 1
+            key = self.cache_key(op, a, b, mode, band, gap_open, gap_extend)
+            k = first.get(key)
+            if k is not None:
+                # Looked up once its twin in this frame has been cached,
+                # as a single request sent after the twin's answer would be.
+                dups.append((i, key, k))
+                continue
+            hit = self.cache.get(key)
+            if hit is not None:
+                results[i] = hit
+                cached.append(i)
+                continue
+            twin = self._inflight.get(key)
+            if twin is not None:
+                self.stats.observe_coalesced()
+                joins.append((i, twin))
+                continue
+            cost = estimate_cost(op, a, b, mode, band)
+            try:
+                self.admission.try_admit(cost)
+            except Overloaded as exc:
+                self.stats.observe_shed()
+                fail(i, exc)
+                continue
+            first[key] = i
+            misses.append((i, key, cost))
+        if valid:
+            self.stats.observe_mode(mode, valid)
+        if tlog is not None:
+            cache_s = time.perf_counter() - cache_start
+            tlog.append(leaf_entry(
+                ctx, "server.cache", time.time() - cache_s, cache_s,
+                {"hits": len(cached), "pairs": n},
+            ))
+        if misses:
+            await self._compute_frame_misses(
+                frame, misses, results, fail, degraded, ctx, tlog, deadline,
+                (mode, band, gap_open, gap_extend, memory, backend),
+            )
+        for i, twin in joins:
+            try:
+                results[i] = await twin
+            except Exception as exc:
+                fail(i, exc)
+        failed = {entry["i"]: entry for entry in errors}
+        for i, key, k in dups:
+            if k in failed:
+                errors.append(dict(failed[k], i=i))
+                self.stats.observe_error(op)
+                continue
+            hit = self.cache.get(key)
+            if hit is not None:
+                cached.append(i)
+            else:  # not cached (degraded, or no cache): share the twin's answer
+                self.stats.observe_coalesced()
+                if k in degraded:
+                    degraded.append(i)
+            results[i] = results[k] if hit is None else hit
+        errors.sort(key=lambda entry: entry["i"])
+        cached.sort()
+        degraded.sort()
+        return frame_response(frame.id, results, errors, cached, degraded)
+
+    async def _compute_frame_misses(
+        self, frame, misses, results, fail, degraded, ctx, tlog, deadline, resolved
+    ) -> None:
+        """Hand a frame's admitted cache misses to the batcher as one
+        group; cache and record their answers."""
+        op = frame.pair_op
+        mode, band, gap_open, gap_extend, memory, backend = resolved
+        self._apply_degrade()
+        # Degraded mode answers align with the (exact) score and no
+        # pairs: flagged, never cached, never registered inflight.
+        score_only = (
+            op == "align" and self.admission.degraded and self.config.degrade == "score"
+        )
+        group_op = "score" if score_only else op
+        knobs = {
+            "mode": mode, "band": band, "gap_open": gap_open, "gap_extend": gap_extend,
+            "memory": None if score_only else memory, "backend": backend,
+        }
+        pairs = [frame.pairs[i] for i, _, _ in misses]
+        futures = []
+        if not score_only:
+            loop = asyncio.get_running_loop()
+            for _, key, _ in misses:
+                futures.append(loop.create_future())
+                self._inflight[key] = futures[-1]
+        if ctx is not None:
+            # One job carries the frame's trace interest: the group is
+            # dispatched as one batch, so its wait and compute spans
+            # are the whole frame's.
+            self.batcher.trace_job(group_op, *pairs[0], knobs, ctx, sink=tlog)
+        if deadline is not None:
+            for a, b in pairs:
+                self.batcher.note_deadline(group_op, a, b, knobs, deadline)
+        values: list = []
+        try:
+            values = await self.batcher.submit_group(group_op, pairs, **knobs)
+        finally:
+            for _, _, cost in misses:
+                self.admission.release(cost)
+            self._apply_degrade()
+            for (_, key, _), future in zip(misses, futures):
+                self._inflight.pop(key, None)
+                if not values:  # abandoned mid-compute: release any twins
+                    future.set_exception(ConnectionAbortedError("frame abandoned"))
+                    future.exception()
+        for k, ((i, key, _), value) in enumerate(zip(misses, values)):
+            if isinstance(value, BaseException):
+                if futures:
+                    futures[k].set_exception(value)
+                    futures[k].exception()  # mark retrieved: twins may not exist
+                fail(i, value)
+            elif score_only:
+                self.stats.observe_degraded_response()
+                degraded.append(i)
+                results[i] = {
+                    "score": float(value), "pairs": [],
+                    "a_interval": [0, 0], "b_interval": [0, 0],
+                }
+            else:
+                result = float(value) if op == "score" else alignment_to_dict(value)
+                self.cache.put(key, result)
+                futures[k].set_result(result)
+                results[i] = result
+
+    def _journal_frame(self, frame, response: dict, duration: float) -> None:
+        """One journal record per pair of a frame (knobs as sent)."""
+        errors = {entry["i"]: entry for entry in response.get("errors", ())}
+        cached = set(response.get("cached", ()))
+        degraded = set(response.get("degraded", ()))
+        for i, pair in enumerate(frame.pairs):
+            if isinstance(pair, ProtocolError):
+                continue
+            error = errors.get(i, {}) if response.get("ok") else {"code": response.get("code")}
+            self.journal.write(
+                build_record(
+                    frame.pair_op, pair[0], pair[1], vars(frame),
+                    ok=not error,
+                    code=error.get("code"),
+                    cached=i in cached,
+                    disposition="cache_hit" if i in cached
+                    else "degraded" if i in degraded else None if error else "computed",
+                    degraded=i in degraded,
+                    duration_s=duration,
+                    deadline_ms=frame.deadline_ms,
+                    include_sequences=self.config.journal_sequences,
+                )
+            )
+
     def _apply_degrade(self) -> None:
         """Map the admission controller's degrade state onto the
         configured policy (batch-window widening) and the gauge."""
@@ -809,6 +1066,15 @@ class AlignmentService:
             else 1.0
         )
         self.stats.set_degraded_mode(degraded)
+
+
+def _error_code(exc: BaseException) -> str | None:
+    """The wire error code for a typed failure (``None`` for the rest)."""
+    if isinstance(exc, DeadlineExceeded):
+        return "DEADLINE_EXCEEDED"
+    if isinstance(exc, Overloaded):
+        return "OVERLOADED"
+    return None
 
 
 def run_server(config: ServiceConfig, port_file: str | None = None) -> int:

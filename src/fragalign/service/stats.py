@@ -50,6 +50,11 @@ class ServiceStats:
             "Pair-op requests by resolved alignment mode.",
             labels=("mode",),
         )
+        self._frames = self.registry.counter(
+            "fragalign_frames_total",
+            "score_many/align_many frames received, by pair op.",
+            labels=("op",),
+        )
         self._errors = self.registry.counter(
             "fragalign_errors_total", "Requests answered with ok=false."
         )
@@ -120,19 +125,24 @@ class ServiceStats:
 
     # -- feeders ------------------------------------------------------
 
-    def observe_request(self, op: str) -> None:
-        self._requests.inc(op=op)
+    def observe_request(self, op: str, count: int = 1) -> None:
+        self._requests.inc(count, op=op)
 
-    def observe_mode(self, mode: str) -> None:
-        """Count one pair-op request under its *resolved* alignment
+    def observe_frame(self, op: str) -> None:
+        """Count one ``score_many``/``align_many`` frame under its pair
+        op (its pairs count as requests through :meth:`observe_request`)."""
+        self._frames.inc(op=op)
+
+    def observe_mode(self, mode: str, count: int = 1) -> None:
+        """Count pair-op requests under their *resolved* alignment
         mode (the server's default already substituted), so cluster
         aggregation can break traffic down by mode."""
-        self._modes.inc(mode=mode)
+        self._modes.inc(count, mode=mode)
 
-    def observe_error(self, op: str | None = None) -> None:
-        self._errors.inc()
+    def observe_error(self, op: str | None = None, count: int = 1) -> None:
+        self._errors.inc(count)
         if op is not None:
-            self._errors_by_op.inc(op=op)
+            self._errors_by_op.inc(count, op=op)
 
     def observe_connection(self, delta: int) -> None:
         self._conn_open.add(delta)
@@ -148,15 +158,17 @@ class ServiceStats:
         self._coalesced.inc()
 
     def observe_latency(
-        self, seconds: float, op: str | None = None, exemplar: str | None = None
+        self, seconds: float, op: str | None = None, exemplar: str | None = None,
+        count: int = 1,
     ) -> None:
-        """Record one request's service time.  ``exemplar`` is a
-        retained trace id attached to the histogram bucket the
-        observation lands in — the p99-to-trace jump."""
-        self._latency.observe(seconds, exemplar=exemplar)
+        """Record the service time of ``count`` requests (a frame's
+        pairs share one).  ``exemplar`` is a retained trace id attached
+        to the histogram bucket the observation lands in — the
+        p99-to-trace jump."""
+        self._latency.observe(seconds, exemplar=exemplar, count=count)
         per_op = self._op_latency.get(op)
         if per_op is not None:
-            per_op.observe(seconds, exemplar=exemplar)
+            per_op.observe(seconds, exemplar=exemplar, count=count)
 
     def observe_shed(self) -> None:
         self._shed.inc()

@@ -161,30 +161,56 @@ _SPECS = (
 """
 
 
-def _knob_tree(pkg: Path, band_ring: str = "True", cache_key_sig: str | None = None):
+_FRAME_PROTOCOL = """
+class Request:
+    id: int
+    op: str
+    a: str
+    b: str
+    mode: str
+    band: int
+
+class Frame:
+    id: int
+    op: str
+    pairs: list
+    mode: str
+    band: int{frame_extra}
+
+def _knobs(obj):
+    return (obj.get("mode"), obj.get("band"))
+
+def parse_request(obj):
+    return _knobs(obj)
+
+def parse_frame(obj):
+    return {frame_reads}
+"""
+
+
+def _knob_tree(
+    pkg: Path,
+    band_ring: str = "True",
+    cache_key_sig: str | None = None,
+    frame_reads: str = "_knobs(obj)",
+    frame_extra: str = "",
+    group_sig: str = "self, op, pairs, mode, band",
+):
     write(pkg, "service/fields.py", _SPEC_TEMPLATE.format(band_ring=band_ring))
     write(
         pkg,
         "service/protocol.py",
-        """
-        class Request:
-            id: int
-            op: str
-            a: str
-            b: str
-            mode: str
-            band: int
-
-        def parse_request(obj):
-            return (obj.get("mode"), obj.get("band"))
-        """,
+        _FRAME_PROTOCOL.format(frame_reads=frame_reads, frame_extra=frame_extra),
     )
     write(
         pkg,
         "service/batcher.py",
-        """
+        f"""
         class MicroBatcher:
             def submit(self, op, a, b, mode, band):
+                pass
+
+            def submit_group({group_sig}):
                 pass
         """,
     )
@@ -275,6 +301,73 @@ class TestKnobPropagation:
         )
         findings = self._run(pkg)
         assert any("never read off the wire" in f.message for f in findings)
+
+    def test_frame_parser_missing_field_fires(self, pkg):
+        _knob_tree(pkg, frame_reads='obj.get("mode")')
+        findings = self._run(pkg)
+        assert [(f.symbol, f.message) for f in findings] == [
+            ("parse_frame",
+             "registered field 'band' is never read off the wire (no obj.get call)"),
+        ]
+
+    def test_parser_reads_do_not_count_through_the_other_parser(self, pkg):
+        _knob_tree(pkg)
+        text = (pkg / "service/protocol.py").read_text()
+        (pkg / "service/protocol.py").write_text(text.replace(
+            "def parse_request(obj):\n    return _knobs(obj)",
+            "def parse_request(obj):\n    return parse_frame(obj)",
+        ))
+        findings = self._run(pkg)
+        assert sorted((f.symbol, f.message) for f in findings) == [
+            ("parse_request",
+             f"registered field {name!r} is never read off the wire (no obj.get call)")
+            for name in ("band", "mode")
+        ]
+
+    def test_frame_parser_must_exist(self, pkg):
+        _knob_tree(pkg)
+        text = (pkg / "service/protocol.py").read_text()
+        (pkg / "service/protocol.py").write_text(text.replace("def parse_frame", "def parse_other"))
+        findings = self._run(pkg)
+        assert [f.symbol for f in findings] == ["parse_frame"]
+
+    def test_frame_extra_field_fires(self, pkg):
+        _knob_tree(pkg, frame_extra="\n    gap: float")
+        findings = self._run(pkg)
+        assert [(f.symbol, f.message) for f in findings] == [
+            ("Frame",
+             "'gap' in the Frame dataclass is not a registered request field "
+             "(register it in service/fields.py or remove it)"),
+        ]
+
+    def test_frame_missing_field_fires(self, pkg):
+        _knob_tree(pkg)
+        text = (pkg / "service/protocol.py").read_text()
+        (pkg / "service/protocol.py").write_text(
+            text.replace("    pairs: list\n    mode: str\n    band: int", "    pairs: list\n    mode: str")
+        )
+        findings = self._run(pkg)
+        assert [(f.symbol, f.message) for f in findings] == [
+            ("Frame", "missing registered field 'band' in the Frame dataclass"),
+        ]
+
+    def test_group_submit_missing_field_fires(self, pkg):
+        _knob_tree(pkg, group_sig="self, op, pairs, mode")
+        findings = self._run(pkg)
+        assert [(f.symbol, f.message) for f in findings] == [
+            ("MicroBatcher.submit_group",
+             "missing registered field 'band' in the batch-group key "
+             "(submit_group parameters)"),
+        ]
+
+    def test_group_submit_extra_param_fires(self, pkg):
+        _knob_tree(pkg, group_sig="self, op, pairs, mode, band, deadline")
+        findings = self._run(pkg)
+        assert [(f.symbol, f.message) for f in findings] == [
+            ("MicroBatcher.submit_group",
+             "'deadline' in the batch-group key (submit_group parameters) is not a "
+             "registered request field (register it in service/fields.py or remove it)"),
+        ]
 
     def test_missing_cli_flag_fires(self, pkg):
         _knob_tree(pkg)

@@ -17,8 +17,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fragalign.cluster import (
     ClusterClient,
@@ -34,7 +38,10 @@ from fragalign.cluster import (
     warm_router,
 )
 from fragalign.engine import AlignmentEngine
-from fragalign.service import AlignmentService, ServiceConfig, ServiceError
+from fragalign.resilience.faults import FaultProxyThread
+from fragalign.service import AlignmentClient, AlignmentService, ServiceConfig, ServiceError
+from fragalign.service.protocol import MAX_LINE, alignment_to_dict, encode_line, frame_response
+from fragalign.util.errors import DeadlineExceeded
 
 
 class TestHashRing:
@@ -114,14 +121,14 @@ class TestHashRing:
             ring.node_for("anything")
 
 
-def _serve_in_thread(config: ServiceConfig):
+def _serve_in_thread(config: ServiceConfig, engine: AlignmentEngine | None = None):
     """Start one service on a daemon thread; return its control handle."""
     holder: dict = {}
     ready = threading.Event()
 
     def target():
         async def main():
-            service = AlignmentService(config)
+            service = AlignmentService(config, engine)
             await service.start()
             holder["service"] = service
             holder["port"] = service.port
@@ -502,3 +509,200 @@ class TestClusterAffineEndToEnd:
             assert cluster.align(
                 pairs[0][0], pairs[0][1], memory="linear"
             ) == eng.align(pairs[0][0], pairs[0][1])
+
+
+# -- frames through the router --------------------------------------------
+
+_KNOBS = st.sampled_from([
+    {"mode": "global"},
+    {"mode": "local"},
+    {"mode": "overlap"},
+    {"mode": "banded", "band": 40},
+    {"mode": "global", "gap_open": -3.0, "gap_extend": -1.0},
+    {"mode": "local", "gap_open": -2.0, "gap_extend": -0.5},
+])
+
+
+def _random_pairs(seed: int, n: int) -> list[tuple[str, str]]:
+    rng = np.random.default_rng(seed)
+    return [
+        ("".join(rng.choice(list("ACGT"), int(rng.integers(0, 40)))),
+         "".join(rng.choice(list("ACGT"), int(rng.integers(0, 40)))))
+        for _ in range(n)
+    ]
+
+
+class TestFrameRouting:
+    """score_many/align_many/request_many travel as per-shard frames:
+    results equal an in-process engine's, in request order, through
+    shard deaths between and during frames."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**31), st.integers(1, 48), _KNOBS, st.sampled_from(["score", "align"]))
+    def test_routed_frames_match_the_engine(self, three_shards, seed, n, knobs, op):
+        pairs = _random_pairs(seed, n)
+
+        async def run():
+            async with ShardRouter(_addresses(three_shards)) as router:
+                many = router.score_many if op == "score" else router.align_many
+                return await many(pairs, **knobs), router.router_stats()
+
+        got, stats = asyncio.run(run())
+        with AlignmentEngine(backend="numpy") as eng:
+            if op == "score":
+                assert got == [float(s) for s in eng.score_many(pairs, **knobs)]
+            else:
+                assert got == eng.align_many(pairs, **knobs)
+        assert stats["routed_total"] == n and stats["failed_requests"] == 0
+
+    def test_mixed_request_many_spans_every_shard(self, three_shards):
+        pairs = _random_pairs(7, 60)
+        modes = ("global", "local", "overlap")
+        entries = [
+            {"op": ("score", "align")[k % 2], "a": a, "b": b, "mode": modes[k % 3]}
+            for k, (a, b) in enumerate(pairs)
+        ]
+
+        async def run():
+            async with ShardRouter(_addresses(three_shards)) as router:
+                return await router.request_many(entries), router.router_stats()
+
+        got, stats = asyncio.run(run())
+        with AlignmentEngine(backend="numpy") as eng:
+            for entry, value in zip(entries, got):
+                verb = eng.score if entry["op"] == "score" else eng.align
+                assert value == verb(entry["a"], entry["b"], mode=entry["mode"])
+        assert len(stats["routed"]) == 3  # the frame reached every shard
+        assert sum(stats["routed"].values()) == len(entries)
+
+    def test_spent_deadline_fails_every_pair_typed(self, three_shards):
+        async def run():
+            async with ShardRouter(_addresses(three_shards)) as router:
+                with pytest.raises(DeadlineExceeded):
+                    await router.score_many(_random_pairs(3, 12), deadline_ms=1e-6)
+                return router.router_stats()
+
+        stats = asyncio.run(run())
+        assert stats["deadline_gaveups"] == 12 and stats["evictions"] == 0
+
+    def test_shard_killed_between_frames(self, three_shards):
+        pairs = _random_pairs(11, 48)
+        with AlignmentEngine(backend="numpy") as eng:
+            scores = [float(s) for s in eng.score_many(pairs)]
+            alns = eng.align_many(pairs)
+
+        async def run():
+            router = ShardRouter(_addresses(three_shards), max_attempts=3)
+            try:
+                first = await router.score_many(pairs)
+                _stop_shard(three_shards[0])
+                return first, await router.score_many(pairs), \
+                    await router.align_many(pairs), router.router_stats()
+            finally:
+                await router.close()
+
+        first, again, aligned, stats = asyncio.run(run())
+        assert first == again == scores
+        assert aligned == alns
+        assert stats["evictions"] == 1 and stats["failovers"] >= 1
+        assert stats["failed_requests"] == 0
+
+    def test_shard_killed_mid_frame(self, three_shards):
+        # Each shard behind a fault proxy; the victim's proxy holds the
+        # sub-frame in flight, then dies with it.
+        proxies = [FaultProxyThread("127.0.0.1", h["port"]) for h in three_shards]
+        for proxy in proxies:
+            proxy.start()
+        pairs = _random_pairs(13, 64)
+        with AlignmentEngine(backend="numpy") as eng:
+            scores = [float(s) for s in eng.score_many(pairs)]
+
+        async def run():
+            router = ShardRouter([("127.0.0.1", p.port) for p in proxies], max_attempts=2)
+            try:
+                await router.score_many(pairs[:1])  # connections up
+                proxies[1].set_faults(latency_ms=400)
+                frame = asyncio.ensure_future(router.score_many(pairs))
+                await asyncio.sleep(0.15)
+                assert not frame.done()
+                await asyncio.to_thread(proxies[1].stop)  # in-flight sub-frame dies
+                return await asyncio.wait_for(frame, 20), router.router_stats()
+            finally:
+                await router.close()
+
+        try:
+            got, stats = asyncio.run(run())
+        finally:
+            for proxy in proxies:
+                proxy.stop()
+        assert got == scores
+        assert stats["evictions"] == 1 and stats["retries"] >= 1
+        assert stats["failovers"] >= 1 and stats["failed_requests"] == 0
+        assert f"127.0.0.1:{proxies[1].port}" not in stats["live_shards"]
+
+    def test_align_answers_over_the_line_cap_direct_and_routed(self):
+        # About 1.1 KB of answer per 128 bp pair: each shard's sub-frame
+        # of these, and the direct frame, would answer past MAX_LINE if
+        # sent unsplit.  (Large engine batches only keep the test quick.)
+        holders = [_serve_in_thread(ServiceConfig(port=0, max_batch=1024)) for _ in range(2)]
+        rng = np.random.default_rng(17)
+        pairs = []
+        for _ in range(2400):
+            a = rng.choice(list("ACGT"), int(rng.integers(120, 137)))
+            b = np.where(rng.random(len(a)) < 0.08, rng.choice(list("ACGT"), len(a)), a)
+            pairs.append(("".join(a), "".join(b)))
+
+        async def run():
+            async with ShardRouter(_addresses(holders)) as router:
+                owners = [router.shard_for("align", a, b) for a, b in pairs]
+                return await router.align_many(pairs), owners, router.router_stats()
+
+        try:
+            with AlignmentClient("127.0.0.1", holders[0]["port"]) as client:
+                direct = client.align_many(pairs[:1000])
+            routed, owners, stats = asyncio.run(run())
+        finally:
+            for holder in holders:
+                _stop_shard(holder)
+        with AlignmentEngine(backend="numpy") as eng:
+            expected = eng.align_many(pairs)
+        assert direct == expected[:1000]
+        assert routed == expected
+        assert stats["failed_requests"] == 0 and stats["evictions"] == 0
+        assert len(set(owners)) == 2
+        for shard in set(owners):
+            answers = [alignment_to_dict(x) for x, o in zip(expected, owners) if o == shard]
+            assert len(encode_line(frame_response(0, answers, [], [], []))) > MAX_LINE
+
+    def test_big_frame_under_small_timeout_evicts_no_healthy_shard(self):
+        # Each shard needs ~0.5 s for its ~320 pairs: longer than one
+        # request_timeout, well within one per 64 pairs.
+        holders = [
+            _serve_in_thread(ServiceConfig(port=0, cache_size=0), engine=_SlowEngine())
+            for _ in range(2)
+        ]
+        pairs = _random_pairs(19, 640)
+        try:
+            async def run():
+                async with ShardRouter(_addresses(holders), request_timeout=0.25) as router:
+                    return await router.score_many(pairs), router.router_stats()
+
+            got, stats = asyncio.run(run())
+        finally:
+            for holder in holders:
+                _stop_shard(holder)
+        with AlignmentEngine(backend="numpy") as eng:
+            assert got == [float(s) for s in eng.score_many(pairs)]
+        assert min(stats["routed"].values()) > 4 * 64  # over one timeout's worth each
+        assert stats["evictions"] == 0 and stats["retries"] == 0
+        assert stats["failed_requests"] == 0
+
+
+class _SlowEngine(AlignmentEngine):
+    """An engine that takes 1.5 ms more per scored pair."""
+
+    def score_many(self, pairs, *args, **kwargs):
+        time.sleep(0.0015 * len(pairs))
+        return super().score_many(pairs, *args, **kwargs)
+

@@ -513,8 +513,11 @@ class TestServiceObservability:
         with AlignmentClient("127.0.0.1", one_server["port"]) as client:
             pairs = [("ACGTACGT", "ACGTAGGT" + "T" * k) for k in range(6)]
             client.score_many(pairs, concurrency=4)
-            text = client.metrics()
+            # Snapshot first: each control op adds its own latency
+            # observation, and the fast stats op (unlike the metrics
+            # op's render) stays below the frame's pairs in the histogram.
             snap = client.stats()
+            text = client.metrics()
         parsed = parse_exposition(text)
         samples = parsed["samples"]
         assert samples[("fragalign_requests_total", (("op", "score"),))] >= 6
@@ -543,6 +546,99 @@ class TestServiceObservability:
 
 
 # -- cluster integration ----------------------------------------------
+
+
+class TestFrameAccounting:
+    """A frame's pairs count exactly as the same pairs sent one by one."""
+
+    PAIRS = [("ACGTACGTAC" + "G" * k, "ACGTAGGTAC") for k in range(8)]
+
+    COUNTED = (  # summed over their label sets
+        "fragalign_requests_total",
+        "fragalign_requests_by_mode_total",
+        "fragalign_errors_total",
+        "fragalign_cache_hits",
+        "fragalign_cache_misses",
+        "fragalign_cache_evictions",
+        "fragalign_batched_pairs_total",
+        "fragalign_kernel_pairs_total",
+        "fragalign_kernel_cells_total",
+        "fragalign_score_latency_seconds_count",
+    )
+
+    def _counts(self, send) -> dict:
+        holder = _serve_in_thread(ServiceConfig(port=0, cache_size=256))
+        try:
+            with AlignmentClient("127.0.0.1", holder["port"]) as client:
+                send(client)
+                samples = parse_exposition(client.metrics())["samples"]
+        finally:
+            _stop_shard(holder)
+        return samples
+
+    def test_frame_counts_like_singles(self):
+        # Cold, then every pair again (cache hits), plus in-frame duplicates.
+        pairs = self.PAIRS + self.PAIRS[:3]
+
+        def singles(client):
+            for rep in range(2):
+                for a, b in pairs:
+                    client.score(a, b)
+
+        def frames(client):
+            for rep in range(2):
+                client.score_many(pairs)
+
+        one_by_one, framed = self._counts(singles), self._counts(frames)
+
+        def total(samples, name):
+            return sum(v for (n, _), v in samples.items() if n == name)
+
+        for name in self.COUNTED:
+            assert total(framed, name) == total(one_by_one, name), name
+        assert total(framed, "fragalign_kernel_pairs_total") == len(self.PAIRS)
+        assert framed[("fragalign_requests_total", (("op", "score"),))] == 2 * len(pairs)
+        assert framed[("fragalign_frames_total", (("op", "score"),))] == 2
+        assert ("fragalign_frames_total", (("op", "score"),)) not in one_by_one
+        # One engine batch for the cold frame's misses; the warm frame
+        # is all cache hits.
+        assert framed[("fragalign_batches_total", ())] == 1
+        assert framed[("fragalign_batched_pairs_total", ())] == len(self.PAIRS)
+
+    def test_traced_frame_yields_one_span_tree(self, one_server):
+        with AlignmentClient("127.0.0.1", one_server["port"]) as client:
+            root = new_trace_context()
+            client.score_many(self.PAIRS, trace=root)
+            reply = client.trace_spans(root.trace_id)
+        names = sorted(s["name"] for s in reply["spans"])
+        assert names == sorted([
+            "server.read", "server.cache", "batcher.wait", "batcher.compute",
+            "server.write", "server.request",
+        ])
+        assert _tree_is_consistent(reply["spans"], root)
+
+    def test_routed_frame_trace_spans_router_and_shards(self, three_shards):
+        async def run():
+            async with ShardRouter(_addresses(three_shards)) as router:
+                root = new_trace_context()
+                await router.score_many(self.PAIRS, trace=root)
+                return root, await router.collect_trace(root.trace_id)
+
+        root, trace = asyncio.run(run())
+        names = [s["name"] for s in trace["spans"]]
+        assert names.count("router.route") == 1
+        attempts = names.count("router.attempt")  # one sub-frame per owning shard
+        assert attempts >= 1 and names.count("server.request") == attempts
+        assert _tree_is_consistent(trace["spans"], root)
+
+    def test_dash_shows_frames(self):
+        from fragalign.obs.dash import build_state, render_frame
+
+        reg = MetricsRegistry()
+        ServiceStats(registry=reg).observe_frame("score")
+        state = build_state(metrics_text=reg.render())
+        assert state["totals"]["frames"] == 1
+        assert "frames 1" in render_frame(state, color=False)
 
 
 class TestClusterObservability:

@@ -13,10 +13,14 @@ Standing invariants:
 from __future__ import annotations
 
 import asyncio
+import random
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import transition_transversion, unit_dna
@@ -34,11 +38,22 @@ from fragalign.service import (
     write_port_file,
 )
 from fragalign.service.protocol import (
+    FRAME_OPS,
+    MAX_LINE,
+    PAIR_ERROR_CHARS,
+    DeadlineExceededError,
+    Frame,
+    OverloadedError,
     ProtocolError,
+    Request,
     alignment_from_dict,
     alignment_to_dict,
+    clip_error,
     decode_line,
     encode_line,
+    frame_errors,
+    frame_reply_bound,
+    frame_response,
     parse_request,
 )
 
@@ -770,3 +785,297 @@ class TestClientAutoReconnect:
                 client.score("ACGT", "ACGT")
         finally:
             client.close()
+
+
+# -- frames: score_many / align_many on the wire -------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DNA = st.text(alphabet="ACGT", max_size=12)
+
+
+class _RawConnection:
+    """A blocking JSON-lines connection that can send arbitrary bytes."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        self.buf = b""
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def until(self, rid) -> dict:
+        """Read responses until the one with id ``rid``; return it.
+        Every line read on the way must be a well-formed response."""
+        while True:
+            while b"\n" not in self.buf:
+                chunk = self.sock.recv(1 << 16)
+                assert chunk, "server dropped the connection"
+                self.buf += chunk
+            line, self.buf = self.buf.split(b"\n", 1)
+            obj = decode_line(line)
+            assert isinstance(obj.get("ok"), bool)
+            if obj.get("id") == rid:
+                return obj
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _frame(rid, op, pairs, **knobs) -> bytes:
+    return encode_line({"id": rid, "op": op, "pairs": pairs, **knobs})
+
+
+@pytest.fixture()
+def frame_server():
+    port, stop, service = _serve_in_thread(
+        ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=256)
+    )
+    yield port, service
+    stop()
+
+
+class TestFrameProtocol:
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_bytes_parse_to_typed_outcomes(self, data):
+        try:
+            obj = decode_line(data)
+            req = parse_request(obj)
+        except ProtocolError:
+            return
+        assert isinstance(req, (Request, Frame))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(FRAME_OPS),
+        st.dictionaries(
+            st.sampled_from(["pairs", "mode", "band", "gap_open", "gap_extend",
+                             "memory", "backend", "deadline_ms", "trace_id", "span_id"]),
+            _JSON, max_size=4,
+        ),
+        st.lists(st.one_of(st.tuples(_DNA, _DNA).map(list), _JSON), max_size=4),
+    )
+    def test_mutated_frames_parse_to_typed_outcomes(self, op, knobs, pairs):
+        obj = {"id": 1, "op": op, "pairs": pairs, **knobs}
+        try:
+            frame = parse_request(obj)
+        except ProtocolError:
+            return
+        assert isinstance(frame, Frame) and frame.op == op
+        assert len(frame.pairs) == len(obj["pairs"])
+        for entry, raw in zip(frame.pairs, obj["pairs"]):
+            if isinstance(entry, ProtocolError):
+                assert not (isinstance(raw, list) and len(raw) == 2
+                            and all(isinstance(x, str) for x in raw))
+            else:
+                assert list(entry) == raw
+
+    def test_frame_response_round_trips_per_pair_errors(self):
+        response = decode_line(encode_line(frame_response(
+            7, [1.0, None, None], [{"i": 1, "error": "late", "code": "DEADLINE_EXCEEDED"},
+                                   {"i": 2, "error": "bad pair"}], [0], [],
+        )))
+        errors = frame_errors(response)
+        assert isinstance(errors[1], DeadlineExceededError)
+        assert type(errors[2]) is ServiceError
+        assert response["cached"] == [0] and "degraded" not in response
+
+
+class TestFramesEndToEnd:
+    PAIRS = [("ACGTACGTAC" + "T" * k, "ACGTAGGTAC") for k in range(6)]
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.binary(max_size=48).filter(lambda b: b"\n" not in b),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=3))
+    def test_garbage_then_frame_on_one_connection(self, frame_server, junk, flips):
+        port, _service = frame_server
+        conn = _RawConnection(port)
+        try:
+            mutated = bytearray(_frame("m", "score_many", [list(p) for p in self.PAIRS[:2]]))
+            for pos, value in flips:
+                if pos < len(mutated) - 1 and value != ord("\n"):
+                    mutated[pos] = value
+            conn.send(b"".join(j + b"\n" for j in junk) + bytes(mutated))
+            conn.send(encode_line({"id": "sentinel", "op": "ping"}))
+            assert conn.until("sentinel")["result"] == "pong"
+            # The same connection still serves a good frame correctly.
+            conn.send(_frame("good", "score_many", [list(p) for p in self.PAIRS]))
+            reply = conn.until("good")
+        finally:
+            conn.close()
+        with AlignmentEngine() as eng:
+            assert reply["result"] == [eng.score(a, b) for a, b in self.PAIRS]
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(st.tuples(_DNA, _DNA).map(list), _JSON), max_size=6),
+           st.sampled_from(["score_many", "align_many"]))
+    def test_bad_pairs_fail_alone(self, frame_server, entries, op):
+        port, _service = frame_server
+        conn = _RawConnection(port)
+        try:
+            conn.send(_frame("f", op, entries, mode="banded", band=3))
+            reply = conn.until("f")
+        finally:
+            conn.close()
+        assert reply["ok"] is True and len(reply["result"]) == len(entries)
+        errors = {e["i"]: e for e in reply.get("errors", ())}
+        with AlignmentEngine() as eng:
+            for k, entry in enumerate(entries):
+                good = (isinstance(entry, list) and len(entry) == 2
+                        and all(isinstance(x, str) for x in entry))
+                if not good or abs(len(entry[0]) - len(entry[1])) > 3:
+                    assert k in errors and "code" not in errors[k]
+                    assert reply["result"][k] is None
+                    continue
+                assert k not in errors
+                a, b = entry
+                if op == "score_many":
+                    assert reply["result"][k] == eng.score(a, b, mode="banded", band=3)
+                else:
+                    assert alignment_from_dict(reply["result"][k]) == eng.align(
+                        a, b, mode="banded", band=3)
+
+    def test_expired_deadline_answers_every_pair_without_compute(self, frame_server):
+        port, _service = frame_server
+        with AlignmentClient(port=port) as client:
+            before = client.stats()
+            results, errors = client._call(client._client.frame(
+                "score", self.PAIRS, deadline_ms=1e-6))
+            stats = client.stats()
+        assert results == [None] * len(self.PAIRS)
+        assert sorted(errors) == list(range(len(self.PAIRS)))
+        assert all(isinstance(e, DeadlineExceededError) for e in errors.values())
+        # Rejected before any per-pair work: no cache lookup, no engine call.
+        assert stats["cache"]["misses"] == before["cache"]["misses"]
+        assert stats["batches"]["dispatched"] == before["batches"]["dispatched"]
+        assert stats["resilience"]["deadline_exceeded"] == len(self.PAIRS)
+        assert stats["requests"]["errors"] == len(self.PAIRS)
+
+    def test_empty_duplicate_and_partly_cached_frames(self, frame_server):
+        port, _service = frame_server
+        conn = _RawConnection(port)
+        pairs = [list(p) for p in self.PAIRS]
+        try:
+            conn.send(_frame("empty", "score_many", []))
+            empty = conn.until("empty")
+            conn.send(_frame("half", "score_many", pairs[:3]))
+            conn.until("half")
+            # Three cached, three new, and each new pair sent twice.
+            conn.send(_frame("mixed", "score_many", pairs + pairs[3:]))
+            mixed = conn.until("mixed")
+        finally:
+            conn.close()
+        assert empty == {"id": "empty", "ok": True, "result": []}
+        with AlignmentEngine() as eng:
+            expected = [eng.score(a, b) for a, b in self.PAIRS]
+        assert mixed["result"] == expected + expected[3:]
+        assert "errors" not in mixed
+        # The first three were cached before; each duplicate is looked
+        # up once its twin in the frame has been computed and cached.
+        assert mixed["cached"] == [0, 1, 2, 6, 7, 8]
+
+    def test_overloaded_pairs_get_typed_per_pair_errors(self):
+        port, stop, _service = _serve_in_thread(
+            ServiceConfig(port=0, cache_size=0, max_inflight_jobs=2)
+        )
+        try:
+            with AlignmentClient(port=port) as client:
+                results, errors = client._call(client._client.frame("score", self.PAIRS))
+                stats = client.stats()
+        finally:
+            stop()
+        with AlignmentEngine() as eng:
+            expected = [eng.score(a, b) for a, b in self.PAIRS]
+        assert sorted(errors) == [2, 3, 4, 5]  # two admitted, the rest shed
+        assert all(isinstance(e, OverloadedError) for e in errors.values())
+        assert results[:2] == expected[:2]
+        assert stats["resilience"]["shed"] == 4
+
+    def test_degraded_align_frame_answers_exact_scores_uncached(self):
+        port, stop, _service = _serve_in_thread(ServiceConfig(
+            port=0, max_inflight_cells=1000, degrade="score", degrade_watermark=0.5,
+        ))
+        pairs = [list(p) for p in self.PAIRS[:4]] + [list(self.PAIRS[0])]
+        conn = _RawConnection(port)
+        try:
+            conn.send(_frame("d", "align_many", pairs))
+            degraded = conn.until("d")
+            conn.send(_frame("f", "align_many", pairs[:1]))  # load is gone: full answer
+            full = conn.until("f")
+        finally:
+            conn.close()
+            stop()
+        with AlignmentEngine() as eng:
+            expected = [eng.align(a, b) for a, b in pairs]
+        assert degraded["degraded"] == [0, 1, 2, 3, 4]
+        assert [r["score"] for r in degraded["result"]] == [e.score for e in expected]
+        assert all(r["pairs"] == [] for r in degraded["result"])
+        assert "cached" not in full and "degraded" not in full
+        assert alignment_from_dict(full["result"][0]) == expected[0]
+
+    def test_client_many_raises_the_first_typed_error(self, frame_server):
+        port, _service = frame_server
+        with AlignmentClient(port=port) as client:
+            with pytest.raises(ServiceError, match="too narrow"):
+                client.score_many([("ACGT", "ACGT"), ("ACGTACGTACGT", "AC")],
+                                  mode="banded", band=2)
+            assert client.score_many([("ACGT", "ACGT")], mode="banded", band=2) == [4.0]
+
+
+class TestFrameAnswerBound:
+    """A frame's answer line never exceeds ``frame_reply_bound``, so a
+    client that splits frames by it never reads a line over MAX_LINE."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(st.text(alphabet="ACGT", max_size=40),
+                           st.text(alphabet="ACGT", max_size=40)), max_size=8),
+        st.sampled_from(["score", "align"]),
+        st.sampled_from([{}, {"mode": "banded", "band": 2}, {"deadline_ms": 1e-6},
+                         {"mode": "local"}]),
+    )
+    def test_answer_line_within_bound(self, frame_server, pairs, op, knobs):
+        port, _service = frame_server
+        conn = _RawConnection(port)
+        try:
+            for rep in range(2):  # cold, then (partly) cached
+                conn.send(_frame(rep, op + "_many", [list(p) for p in pairs], **knobs))
+                reply = conn.until(rep)
+                assert reply["ok"] is True
+                assert len(encode_line(reply)) <= frame_reply_bound(op, pairs)
+        finally:
+            conn.close()
+
+    def test_error_messages_are_clipped_to_printable_ascii(self):
+        assert clip_error("band 3 too narrow") == "band 3 too narrow"
+        clipped = clip_error("é\n\x00" + "x" * 1000)
+        assert clipped.startswith("???") and len(clipped) == PAIR_ERROR_CHARS
+        assert clipped.isascii() and clipped.isprintable()
+
+    def test_align_frame_whose_answer_exceeds_the_line_cap(self, frame_server):
+        # About 1.1 KB of answer per 128 bp pair against 0.26 KB of
+        # request: one unsplit frame of these would answer past MAX_LINE.
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(1000):
+            a = "".join(rng.choice("ACGT") for _ in range(rng.randint(120, 136)))
+            b = "".join(c if rng.random() > 0.08 else rng.choice("ACGT") for c in a)
+            pairs.append((a, b))
+        with AlignmentEngine() as eng:
+            expected = eng.align_many(pairs)
+        unsplit = frame_response(0, [alignment_to_dict(x) for x in expected], [], [], [])
+        assert len(encode_line(unsplit)) > MAX_LINE
+        port, _service = frame_server
+        with AlignmentClient(port=port) as client:
+            assert client.align_many(pairs) == expected
+            assert client.ping()  # the connection survived
+
