@@ -45,6 +45,8 @@ KEY_ROWS = (
     "numpy_affine_score_many",
     "bitparallel_numpy_score_many",
     "native_score_many",
+    "native_align_many",
+    "native_local_align_many_varied",
 )
 
 # Rows whose quick-vs-full ratio is structurally depressed, not just
@@ -78,6 +80,16 @@ ROW_FLOORS = {
     # median even on a healthy build (measured ~0.14-0.18 across
     # loaded/unloaded boxes).
     "bitparallel_numpy_score_many": 0.08,
+    # The native align rows are the C direction-code sweep in the
+    # committed reference; without a compiler they fall through to the
+    # numpy align kernels.  Same-shape 200x256 numpy vectorizes across
+    # the batch, so the fallback sits at ~0.30 normalized; on the mixed
+    # -shape row numpy sweeps one pair per call, ~27x slower than C, so
+    # the fallback sits at ~0.02.  A C build at quick sizes measured
+    # ~1.0 and ~0.7 (the per-pair Python walk weighs more on 12-64 bp
+    # pairs).  Floors catch only the rows vanishing or collapsing.
+    "native_align_many": 0.15,
+    "native_local_align_many_varied": 0.008,
 }
 
 

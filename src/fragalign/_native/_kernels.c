@@ -1,6 +1,6 @@
-/* Native score-only alignment kernels.
+/* Native alignment kernels.
  *
- * Two kernel families, both exposed through the plain Python buffer
+ * Three entry points, all exposed through the plain Python buffer
  * protocol (no numpy C API — the numpy side marshals contiguous
  * arrays in `fragalign/_native/__init__.py`):
  *
@@ -13,16 +13,26 @@
  *     Scores land in `out` (int64, units of c; the caller scales).
  *
  *   striped_local_scores(a, b, out, B, n, m, matrix, pen)
- *     Farrar striped Smith-Waterman, score-only, 8 x int32 lanes,
+ *     Farrar striped Smith-Waterman scores (no traceback), 8 x int32 lanes,
  *     linear gap (`pen` = -gap, a positive integer) and a general
  *     5x5 integer substitution matrix (A/C/G/T/N codes 0..4).
+ *
+ *   align_codes(a, b, dirs, ends, B, n, m, matrix, pen, mode)
+ *     The align verbs' forward sweep: an int32 linear-gap DP that
+ *     writes one uint8 direction code per cell into `dirs` (B x n x m,
+ *     row-major per pair) and each pair's (score, end_i, end_j) into
+ *     `ends`.  mode 0 = global, 1 = overlap, 2 = local.  The codes and
+ *     end cells are the numpy kernels' (fragalign/align/pairwise.py),
+ *     so the Python direction-code walks recover the same alignments.
  *
  * The lane arithmetic is written as fixed-8 per-lane loops over a
  * struct of int32 — every hot loop has a compile-time trip count, so
  * -O3 auto-vectorizes it to whatever SIMD width the host has without
  * tying the source to a specific vector extension.
  *
- * Both entry points release the GIL around the whole batch.
+ * Every entry point releases the GIL around the whole batch.  A build
+ * through setup.py stamps the sha256 of this file into the module as
+ * SOURCE_HASH, so the loader can refuse a build of older source.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -434,6 +444,181 @@ static PyObject *striped_local_scores(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* ---------------- direction-code DP (align verbs) ----------------- */
+
+enum { DP_GLOBAL = 0, DP_OVERLAP = 1, DP_LOCAL = 2 };
+
+/* One pair.  Direction codes, as in fragalign/align/pairwise.py:
+ *   bit0  the up-move strictly beat the diagonal;
+ *   bit1  the left-move strictly beat both (local: and the 0-clamp);
+ *   bit2  local only, H == 0 (the walk stops).
+ * Row 0 is H = -pen*j (local: 0); column 0 is H = -pen*i (overlap and
+ * local: 0).  `end` gets the score and the cell the walk starts from:
+ * global H[n][m]; overlap the first maximum of row n over j = 0..m;
+ * local the first strict maximum in row-major order, starting from 0
+ * at (0, 0).  `mode` is a literal at every call site, so each mode
+ * gets its own specialised loops. */
+static inline void dp_pair(
+    const uint8_t *a, int n, const uint8_t *b, int m,
+    const int32_t *matrix, int32_t pen, int mode, uint8_t *dirs,
+    int32_t *prof /* 5 * m */, int32_t *prev, int32_t *cur /* m + 1 */,
+    int32_t *V /* m */, int64_t *end)
+{
+    for (int code = 0; code < 5; code++)
+        for (int j = 0; j < m; j++)
+            prof[(size_t)code * m + j] = matrix[code * 5 + b[j]];
+    for (int j = 0; j <= m; j++)
+        prev[j] = mode == DP_LOCAL ? 0 : -pen * j;
+    int32_t best = 0;
+    int bi = 0, bj = 0;
+
+    for (int i = 1; i <= n; i++) {
+        const int32_t *w = prof + (size_t)a[i - 1] * m;
+        uint8_t *d = dirs + (size_t)(i - 1) * m;
+        /* Diagonal against up: no dependency along the row. */
+        for (int j = 0; j < m; j++) {
+            int32_t t = prev[j] + w[j];
+            int32_t u = prev[j + 1] - pen;
+            int32_t v = u > t ? u : t;
+            if (mode == DP_LOCAL && v < 0)
+                v = 0;
+            d[j] = (uint8_t)(u > t);
+            V[j] = v;
+        }
+        /* The left chain. */
+        int32_t h = mode == DP_GLOBAL ? -pen * i : 0;
+        cur[0] = h;
+        for (int j = 0; j < m; j++) {
+            int32_t l = h - pen, v = V[j];
+            int left = l > v;
+            h = left ? l : v;
+            d[j] |= (uint8_t)((left << 1)
+                              | ((mode == DP_LOCAL && h == 0) << 2));
+            cur[j + 1] = h;
+        }
+        if (mode == DP_LOCAL) {
+            int32_t rowmax = 0;
+            for (int j = 1; j <= m; j++)
+                rowmax = cur[j] > rowmax ? cur[j] : rowmax;
+            if (rowmax > best) {
+                int j = 1;
+                while (cur[j] != rowmax)
+                    j++;
+                best = rowmax;
+                bi = i;
+                bj = j;
+            }
+        }
+        int32_t *t = prev;
+        prev = cur;
+        cur = t;
+    }
+
+    if (mode == DP_LOCAL) {
+        end[0] = best;
+        end[1] = bi;
+        end[2] = bj;
+    } else if (mode == DP_OVERLAP) {
+        int arg = 0;
+        for (int j = 1; j <= m; j++)
+            if (prev[j] > prev[arg])
+                arg = j;
+        end[0] = prev[arg];
+        end[1] = n;
+        end[2] = arg;
+    } else {
+        end[0] = prev[m];
+        end[1] = n;
+        end[2] = m;
+    }
+}
+
+/* The whole batch, without the GIL; returns nonzero (and computes
+ * nothing) when a code above 4 would index past the 5x5 matrix. */
+static int dp_batch(
+    const uint8_t *ap, const uint8_t *bp, uint8_t *dp, int64_t *ep,
+    int B, int n, int m, const int32_t *mp, int32_t pen, int mode,
+    int32_t *work /* 5 * m + 2 * (m + 1) + m */)
+{
+    int badcode = 0;
+    for (Py_ssize_t i = 0; i < (Py_ssize_t)B * n; i++)
+        badcode |= ap[i] > 4;
+    for (Py_ssize_t i = 0; i < (Py_ssize_t)B * m; i++)
+        badcode |= bp[i] > 4;
+    if (badcode)
+        return 1;
+    int32_t *prof = work, *prev = prof + (size_t)5 * m, *cur = prev + m + 1;
+    int32_t *V = cur + m + 1;
+    for (int k = 0; k < B; k++) {
+        const uint8_t *ak = ap + (size_t)k * n, *bk = bp + (size_t)k * m;
+        uint8_t *dk = dp + (size_t)k * n * m;
+        int64_t *ek = ep + (size_t)k * 3;
+        if (mode == DP_GLOBAL)
+            dp_pair(ak, n, bk, m, mp, pen, DP_GLOBAL, dk, prof, prev, cur, V, ek);
+        else if (mode == DP_OVERLAP)
+            dp_pair(ak, n, bk, m, mp, pen, DP_OVERLAP, dk, prof, prev, cur, V, ek);
+        else
+            dp_pair(ak, n, bk, m, mp, pen, DP_LOCAL, dk, prof, prev, cur, V, ek);
+    }
+    return 0;
+}
+
+static PyObject *align_codes(PyObject *self, PyObject *args)
+{
+    Py_buffer a, b, dirs, ends, mat;
+    int B, n, m, mode, badcode;
+    int32_t pen;
+    if (!PyArg_ParseTuple(args, "y*y*w*w*iiiy*ii", &a, &b, &dirs, &ends,
+                          &B, &n, &m, &mat, &pen, &mode))
+        return NULL;
+    PyObject *result = NULL;
+    int32_t *work = NULL;
+    int ok = B >= 0 && n > 0 && m > 0 && pen > 0
+        && mode >= DP_GLOBAL && mode <= DP_LOCAL
+        && a.len >= (Py_ssize_t)B * n && b.len >= (Py_ssize_t)B * m
+        && dirs.len >= (Py_ssize_t)B * n * m
+        && ends.len >= (Py_ssize_t)B * 3 * (Py_ssize_t)sizeof(int64_t)
+        && mat.len >= (Py_ssize_t)(25 * sizeof(int32_t));
+    if (ok) {
+        /* int32 headroom: every H, and every candidate one step past
+         * it, stays within (n + m + 2) * max(|matrix|, pen) < 2^30. */
+        const int32_t *mp = mat.buf;
+        int64_t step = pen;
+        for (int i = 0; i < 25; i++) {
+            int64_t v = mp[i] < 0 ? -(int64_t)mp[i] : (int64_t)mp[i];
+            if (v > step) step = v;
+        }
+        ok = ((int64_t)n + m + 2) * step < ((int64_t)1 << 30);
+    }
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "bad align_codes arguments");
+        goto done;
+    }
+    work = malloc(((size_t)5 * m + 2 * ((size_t)m + 1) + m) * sizeof(int32_t));
+    if (work == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    badcode = dp_batch(a.buf, b.buf, dirs.buf, ends.buf, B, n, m, mat.buf,
+                       pen, mode, work);
+    Py_END_ALLOW_THREADS
+    if (badcode) {
+        PyErr_SetString(PyExc_ValueError, "align_codes: sequence code above 4");
+        goto done;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    free(work);
+    PyBuffer_Release(&a);
+    PyBuffer_Release(&b);
+    PyBuffer_Release(&dirs);
+    PyBuffer_Release(&ends);
+    PyBuffer_Release(&mat);
+    return result;
+}
+
 /* ---------------- module ----------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -441,16 +626,27 @@ static PyMethodDef methods[] = {
      "Myers bit-parallel batch scores (unit/lev family, global/overlap)."},
     {"striped_local_scores", striped_local_scores, METH_VARARGS,
      "Farrar striped Smith-Waterman batch scores (linear gap, local)."},
+    {"align_codes", align_codes, METH_VARARGS,
+     "Linear-gap DP direction codes and end cells (global/overlap/local)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Native bit-parallel and striped-SIMD alignment score kernels.",
+    "Native bit-parallel, striped-SIMD and direction-code alignment kernels.",
     -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    return PyModule_Create(&moduledef);
+    PyObject *mod = PyModule_Create(&moduledef);
+#ifdef FRAGALIGN_SOURCE_HASH
+    if (mod != NULL
+        && PyModule_AddStringConstant(mod, "SOURCE_HASH",
+                                      FRAGALIGN_SOURCE_HASH) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+#endif
+    return mod;
 }

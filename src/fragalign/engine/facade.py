@@ -26,8 +26,9 @@ once, and kept for the engine's lifetime).  Dispatch is
 capability-probed: the chosen backend's
 :meth:`AlignmentBackend.accelerates` is consulted and the call falls
 through to the numpy backend when the combo is not covered (the
-``native`` backend accelerates score verbs only, for flat models in
-``global``/``overlap`` and integer models in ``local``), so a
+``native`` backend accelerates the score verbs for flat models in
+``global``/``overlap`` and integer models in ``local``, and the align
+verbs for integer models with a linear gap in all three), so a
 ``backend="native"`` request never errors on an uncovered knob
 combination — it just runs on numpy at numpy speed.
 

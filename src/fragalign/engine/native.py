@@ -1,24 +1,36 @@
-"""The ``native`` backend: bit-parallel + striped-SIMD score kernels.
+"""The ``native`` backend: bit-parallel, striped-SIMD and DP kernels.
 
-Two kernel families, one capability-probed backend:
+Three kernel families, one capability-probed backend:
 
-* **Myers/BitPAl bit-parallel** — score-only ``global``/``overlap``
+* **Myers/BitPAl bit-parallel** — the score verbs in ``global``/``overlap``
   for *flat* models (see
   :func:`fragalign.align.bitparallel.flat_model_family`): 64 DP cells
   per uint64 word, implemented twice.  The C extension
   (:mod:`fragalign._native`) runs when built; the pure-numpy uint64
   kernels in :mod:`fragalign.align.bitparallel` serve as both the
   no-compiler fallback and the parity oracle.
-* **Farrar striped Smith-Waterman** — score-only ``local`` for
+* **Farrar striped Smith-Waterman** — the ``local`` score verbs for
   integer substitution models with an integer linear gap.  C only;
   without the extension this combo reports unaccelerated.
+* **Direction-code DP** — the align verbs (``global``/``overlap``/
+  ``local``) for the same integer models: one C sweep per chunk of a
+  same-shape bucket emits the numpy kernels' uint8 direction codes
+  and end cells, and each pair is recovered by the *same*
+  :func:`fragalign.align.pairwise._walk_global` /
+  :func:`~fragalign.align.pairwise._walk_local` walks the numpy
+  backend uses, so there is one traceback implementation and the
+  alignments are identical by construction.  C only.  It makes the
+  numpy backend's ``resolve_memory`` decision: ``memory="linear"``
+  (Hirschberg) stays on numpy, as do empty sides and pairs whose
+  scores could pass the kernel's int32 headroom.
 
 The backend is deliberately *partial*: :meth:`accelerates` tells the
 :class:`fragalign.engine.AlignmentEngine` facade exactly which
 (op, model, mode) combos the kernels cover, and the facade falls
-through to the numpy backend for everything else (align verbs, affine
-gaps, banded mode, non-flat models).  Called directly, the unsupported
-verbs delegate to an internal :class:`NumpyBackend` so the backend is
+through to the numpy backend for everything else (affine gaps,
+banded mode, non-integer models, and non-flat models for the
+``global``/``overlap`` score verbs).  Called directly, the unsupported
+combos delegate to an internal :class:`NumpyBackend` so the backend is
 still total — capability probing is an optimization contract, not a
 correctness one.
 
@@ -35,6 +47,7 @@ import numpy as np
 from fragalign._native import (
     HAVE_NATIVE,
     NATIVE_ERROR,
+    align_codes_native,
     bitparallel_scores_native,
     striped_local_scores_native,
 )
@@ -42,16 +55,20 @@ from fragalign.align.bitparallel import (
     bitparallel_scores_batch,
     flat_model_family,
 )
+from fragalign.align.pairwise import Alignment, _walk_global, _walk_local
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.backends import (
     AlignmentBackend,
     NumpyBackend,
     PreparedPair,
+    resolve_memory,
 )
 
 __all__ = ["NativeBackend", "HAVE_NATIVE", "NATIVE_ERROR"]
 
 _SCORE_OPS = ("score", "score_many")
+_ALIGN_OPS = ("align", "align_many")
+_ALIGN_MODES = ("global", "overlap", "local")
 
 # int32 headroom limits mirrored from the C entry point's guard: the
 # striped kernel refuses batches whose scores could approach the lane
@@ -59,6 +76,9 @@ _SCORE_OPS = ("score", "score_many")
 # tripping the kernel's ValueError.
 _SW_MAX_SCORE = 1 << 27
 _SW_MAX_DECAY = 1 << 29
+# The direction-code DP's guard: |H| and every one-step candidate stay
+# within (n + m + 2) * max(|matrix|, pen).
+_DP_MAX_CELL = 1 << 30
 
 
 def _striped_params(
@@ -80,13 +100,14 @@ def _striped_params(
 
 
 class NativeBackend(AlignmentBackend):
-    """Score-only bit-parallel / striped-SIMD kernels with fallback.
+    """Bit-parallel / striped-SIMD / direction-code kernels with fallback.
 
     Parameters
     ----------
     force_fallback:
         Pretend the C extension is absent — the bit-parallel path uses
-        the numpy uint64 kernels and ``local`` reports unaccelerated.
+        the numpy uint64 kernels, and ``local`` scores and the align
+        verbs report unaccelerated.
         The no-compiler CI job and the A/B benchmarks use this.
     require_native:
         Raise at construction when the C extension is unavailable
@@ -116,9 +137,15 @@ class NativeBackend(AlignmentBackend):
     def accelerates(
         self, op, model, mode, band=None, gap_open=None, gap_extend=None
     ) -> bool:
-        if op not in _SCORE_OPS:
-            return False
         if gap_open is not None or gap_extend is not None:
+            return False
+        if op in _ALIGN_OPS:
+            return (
+                self.use_c
+                and mode in _ALIGN_MODES
+                and _striped_params(model) is not None
+            )
+        if op not in _SCORE_OPS:
             return False
         if mode in ("global", "overlap"):
             return flat_model_family(model) is not None
@@ -200,20 +227,73 @@ class NativeBackend(AlignmentBackend):
             acodes, bcodes, mat, pen
         ).astype(np.float64)
 
-    # -- everything else delegates ------------------------------------
+    # -- align verbs -------------------------------------------------
 
     def align(
         self, p, model, mode, band=None, gap_open=None, gap_extend=None,
         memory="auto",
     ):
-        return self._numpy.align(
-            p, model, mode, band, gap_open, gap_extend, memory
-        )
+        return self._align(
+            [p], model, mode, band, gap_open, gap_extend, memory, chunk=1
+        )[0]
 
     def align_many(
         self, batch, model, mode, band=None, gap_open=None, gap_extend=None,
         memory="auto",
     ):
-        return self._numpy.align_many(
-            batch, model, mode, band, gap_open, gap_extend, memory
+        return self._align(
+            batch, model, mode, band, gap_open, gap_extend, memory,
+            chunk=self._numpy.chunk,
         )
+
+    def _align(
+        self, batch, model, mode, band, gap_open, gap_extend, memory, chunk
+    ) -> list[Alignment]:
+        if not batch:
+            return []
+        if not self.accelerates(
+            "align_many", model, mode, band, gap_open, gap_extend
+        ):
+            return self._numpy.align_many(
+                batch, model, mode, band, gap_open, gap_extend, memory
+            )
+        n, m = batch[0].shape
+        mat, pen = _striped_params(model)
+        # The numpy backend's decision, on the same per-chunk cell count.
+        cells = n * m * min(len(batch), chunk)
+        if (
+            n == 0
+            or m == 0
+            or resolve_memory(
+                memory, mode, False, cells, self._numpy.linear_auto_cells
+            ) == "linear"
+            or (n + m + 2) * max(int(np.abs(mat).max()), pen) >= _DP_MAX_CELL
+        ):
+            return self._numpy.align_many(batch, model, mode, memory=memory)
+        out: list[Alignment] = []
+        for lo in range(0, len(batch), chunk):
+            sub = batch[lo : lo + chunk]
+            dirs, ends = align_codes_native(
+                np.stack([p.a_codes for p in sub]),
+                np.stack([p.b_codes for p in sub]),
+                mat, pen, mode,
+            )
+            for k, (score, ei, ej) in enumerate(ends.tolist()):
+                db = dirs[k].tobytes()
+                if mode == "local":
+                    walked, i0, j0 = _walk_local(db, m, ei, ej)
+                    aln = Alignment(
+                        float(score), tuple(walked), (i0, ei), (j0, ej)
+                    )
+                elif mode == "overlap":
+                    walked, a_start, _ = _walk_global(db, m, n, ej)
+                    aln = Alignment(
+                        float(score), tuple(walked), (a_start, n), (0, ej)
+                    )
+                else:
+                    walked, _, _ = _walk_global(db, m, n, m)
+                    aln = Alignment(
+                        float(score), tuple(walked), (0, n), (0, m)
+                    )
+                out.append(aln)
+        return out

@@ -40,7 +40,7 @@ from fragalign.align.pairwise import (
     overlap_score_reference,
 )
 from fragalign.align.scoring_matrices import SubstitutionModel, unit_dna
-from fragalign._native import HAVE_NATIVE
+from fragalign._native import HAVE_NATIVE, NATIVE_ERROR
 from fragalign.engine import AlignmentEngine, NativeBackend, get_backend
 from fragalign.engine.backends import NumpyBackend
 
@@ -154,7 +154,9 @@ class TestBitparallelParity:
             assert list(got) == [0.0]
 
 
-@pytest.mark.skipif(not HAVE_NATIVE, reason="C extension not built")
+@pytest.mark.skipif(
+    not HAVE_NATIVE, reason=f"C extension unavailable: {NATIVE_ERROR}"
+)
 class TestNativeCParity:
     """C kernels vs the numpy-uint64 kernels (same inputs, exact)."""
 
@@ -213,7 +215,12 @@ class TestNativeBackend:
         unit = unit_dna()
         assert be.accelerates("score", unit, "global")
         assert be.accelerates("score_many", unit, "overlap")
-        assert not be.accelerates("align", unit, "global")
+        # align verbs: the C direction-code DP, linear gap, no band
+        for op in ("align", "align_many"):
+            for mode in ("global", "overlap", "local"):
+                assert be.accelerates(op, unit, mode) == be.use_c
+            assert not be.accelerates(op, unit, "banded", band=4)
+            assert not be.accelerates(op, unit, "global", gap_open=-4.0, gap_extend=-1.0)
         assert not be.accelerates("score", unit, "banded")
         assert not be.accelerates("score", unit, "global", gap_open=-4.0)
         from fragalign.align.scoring_matrices import transition_transversion
@@ -275,7 +282,7 @@ class TestFacadeRouting:
             assert np.array_equal(eng.score_many(self.PAIRS, backend="naive"), base)
             a1 = eng.align(*self.PAIRS[0])
             a2 = eng.align(*self.PAIRS[0], backend="native")
-            assert a1 == a2  # align falls through to numpy either way
+            assert a1 == a2  # whichever implementation answers
 
     def test_unaccelerated_combo_falls_through(self):
         # affine gaps: native reports unaccelerated, facade uses numpy.
