@@ -21,7 +21,10 @@ instances over real sockets (the numpy backend throughout):
 Run as a script: ``python benchmarks/bench_service.py [--quick]``
 writes the result table to ``BENCH_service.json`` (the committed
 reference run).  Thresholds (full runs only): batched >= 5x
-sequential, warm >= 10x cold, tracing overhead <= 3%.
+sequential, warm >= 10x cold, tracing overhead <= 3%.  Every run at
+concurrency >= 64 (quick runs keep 64) also gates the server's socket
+writes per answer in the batched phase at <= 0.25: answers resolved in
+one event-loop turn leave a connection in one write.
 """
 
 from __future__ import annotations
@@ -40,16 +43,18 @@ if __name__ == "__main__":  # script mode: make src/ importable
 import numpy as np
 
 from fragalign.genome.dna import random_dna
+from fragalign.obs.metrics import parse_exposition
 from fragalign.service import AlignmentService, AsyncAlignmentClient, ServiceConfig
 
 
 async def _with_service(config: ServiceConfig, fn):
-    """Run ``fn(client)`` against a fresh service; return (result, stats)."""
+    """Run ``fn(client, service)`` against a fresh service; return
+    (result, stats)."""
     service = AlignmentService(config)
     await service.start()
     client = await AsyncAlignmentClient.connect(port=service.port)
     try:
-        result = await fn(client)
+        result = await fn(client, service)
         stats = await client.stats()
     finally:
         await client.shutdown()
@@ -71,8 +76,14 @@ async def _sequential(client, pairs, warmup=(), repeat=1):
     return best, scores
 
 
-async def _concurrent(client, pairs, concurrency, warmup=(), repeat=1):
-    """Best-of-``repeat`` wall time with ``concurrency`` in flight."""
+def _socket_writes(service: AlignmentService) -> float:
+    samples = parse_exposition(service.registry.render())["samples"]
+    return samples[("fragalign_socket_writes_total", ())]
+
+
+async def _concurrent(client, service, pairs, concurrency, warmup=(), repeat=1):
+    """Best-of-``repeat`` wall time with ``concurrency`` in flight, and
+    the server's socket writes per answer over the timed rounds."""
     for pair in warmup:
         await client.score(*pair)
     semaphore = asyncio.Semaphore(concurrency)
@@ -82,11 +93,13 @@ async def _concurrent(client, pairs, concurrency, warmup=(), repeat=1):
             return await client.score(*pair)
 
     best, scores = float("inf"), []
+    writes0 = _socket_writes(service)
     for _ in range(repeat):
         t0 = time.perf_counter()
         scores = list(await asyncio.gather(*(one(p) for p in pairs)))
         best = min(best, time.perf_counter() - t0)
-    return best, scores
+    writes_per_response = (_socket_writes(service) - writes0) / (repeat * len(pairs))
+    return best, scores, writes_per_response
 
 
 async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict:
@@ -104,7 +117,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     # 1. Per-request sequential serving (the non-batching foil).
     (t_seq, seq_scores), _ = await _with_service(
         ServiceConfig(port=0, max_batch=1, max_delay=0.0, cache_size=0),
-        lambda c: _sequential(c, pairs, warmup=warmup, repeat=2),
+        lambda c, _: _sequential(c, pairs, warmup=warmup, repeat=2),
     )
     results["sequential_per_request"] = {
         "seconds": round(t_seq, 4),
@@ -113,9 +126,12 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
 
     # 2. Micro-batched serving at concurrency C (cache still off, so
     #    the speedup is batching alone, not result reuse).
-    (t_batch, batch_scores), batch_stats = await _with_service(
+    #    Corked writes: the answers a batch resolves in one loop turn
+    #    leave in one socket write, so writes per answer is about one
+    #    over the batch size (a count, not a timing).
+    (t_batch, batch_scores, writes_per_response), batch_stats = await _with_service(
         ServiceConfig(port=0, max_batch=concurrency, max_delay=0.002, cache_size=0),
-        lambda c: _concurrent(c, pairs, concurrency, warmup=warmup, repeat=3),
+        lambda c, s: _concurrent(c, s, pairs, concurrency, warmup=warmup, repeat=3),
     )
     results["batched_concurrent"] = {
         "seconds": round(t_batch, 4),
@@ -123,11 +139,12 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         "concurrency": concurrency,
         "batches": batch_stats["batches"]["dispatched"],
         "mean_batch_size": batch_stats["batches"]["mean_size"],
+        "writes_per_response": round(writes_per_response, 4),
     }
     assert seq_scores == batch_scores  # serving is an execution detail
 
     # 3. Result cache: cold pass fills it, warm passes are pure lookups.
-    async def cold_then_warm(client):
+    async def cold_then_warm(client, _service):
         t_cold, cold_scores = await _sequential(client, pairs, warmup=warmup)
         t_warm, warm_scores = await _sequential(client, pairs, repeat=3)
         assert cold_scores == warm_scores == seq_scores
@@ -172,7 +189,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     # over interleaved rounds converges on the true cost.  The GC is
     # paused across the timed rounds — the same thing ``timeit`` does
     # by default — so collection scheduling doesn't land on one side.
-    async def plain_then_traced(client):
+    async def plain_then_traced(client, _service):
         semaphore = asyncio.Semaphore(concurrency)
 
         async def one(pair, traced):
@@ -344,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        args.pairs, args.length, args.concurrency = 24, 64, 8
+        # Concurrency stays at 64 so the writes-per-answer gate applies.
+        args.pairs, args.length = 192, 64
     report = run_service_bench(args.pairs, args.length, args.concurrency)
     print(json.dumps(report, indent=2))
     out = args.out
@@ -353,8 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     if out:
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {out}", file=sys.stderr)
+    failures = []
+    # A count, not a timing, so quick runs are gated too.
+    writes = report["results"]["batched_concurrent"]["writes_per_response"]
+    if args.concurrency >= 64 and writes > 0.25:
+        failures.append(f"socket writes per answer {writes} > 0.25 at concurrency 64")
     if not args.quick:
-        failures = []
         if report["speedup_batched_vs_sequential"] < 5.0:
             failures.append(
                 f"batched speedup {report['speedup_batched_vs_sequential']} < 5x"
@@ -369,9 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         sampling = report["results"]["tail_sampling_10pct"]["overhead_pct"]
         if sampling > 3.0:
             failures.append(f"tail-sampling overhead {sampling}% > 3%")
-        if failures:
-            print("FAIL: " + "; ".join(failures), file=sys.stderr)
-            return 1
+    if failures:
+        print("FAIL: " + "; ".join(failures), file=sys.stderr)
+        return 1
     return 0
 
 

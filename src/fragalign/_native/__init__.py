@@ -62,10 +62,12 @@ try:
     SOURCE_HASH = getattr(_K, "SOURCE_HASH", None)
 except ImportError as exc:  # no compiler / extension not built
     _K = None
-    SOURCE_CHECK, SOURCE_HASH = "not built", None
+    SOURCE_HASH = None
     if any(KERNELS_C.parent.glob("_kernels*.so")):
+        SOURCE_CHECK = "import failed"
         NATIVE_ERROR = f"the extension failed to import: {exc}"
     else:
+        SOURCE_CHECK = "not built"
         NATIVE_ERROR = (
             "no _kernels extension built "
             "(`python setup.py build_ext --inplace` builds it)"
@@ -73,6 +75,27 @@ except ImportError as exc:  # no compiler / extension not built
 if NATIVE_ERROR is not None:
     _K = None
 HAVE_NATIVE = _K is not None
+
+
+def build_info() -> dict[str, str]:
+    """Labels of the ``fragalign_build_info`` gauge: ``impl``, which
+    kernels answer ``native`` requests (``c``, or the numpy ``uint64``
+    fallback); ``native``, the state of the C build (``ok``,
+    ``unchecked`` when no source shipped to check the stamp against,
+    ``stale: no stamp`` / ``stale: mismatch``, ``not built``, ``import
+    failed``); and the ``numpy`` version."""
+    if HAVE_NATIVE:
+        state = "ok" if SOURCE_CHECK == "match" else "unchecked"
+    elif SOURCE_CHECK in ("no stamp", "mismatch"):
+        state = f"stale: {SOURCE_CHECK}"
+    else:
+        state = SOURCE_CHECK
+    return {
+        "impl": "c" if HAVE_NATIVE else "uint64",
+        "native": state,
+        "numpy": np.__version__,
+    }
+
 
 _FAMILIES = {"unit": 0, "lev": 1}
 _MODES = {"global": 0, "overlap": 1}

@@ -85,6 +85,7 @@ def build_state(
         state["totals"] = {
             "requests": _labeled_sum(samples, "fragalign_requests_total"),
             "frames": _labeled_sum(samples, "fragalign_frames_total"),
+            "writes": samples.get(("fragalign_socket_writes_total", ()), 0.0),
             "errors": samples.get(("fragalign_errors_total", ()), 0.0),
             "coalesced": samples.get(("fragalign_coalesced_total", ()), 0.0),
             "p50_ms": 1e3
@@ -96,6 +97,13 @@ def build_state(
                 samples, "fragalign_request_latency_seconds", 0.99
             ),
         }
+        # One row per distinct kernel build; the merged value counts
+        # the servers running it.
+        state["builds"] = [
+            (dict(labels), int(value))
+            for (name, labels), value in sorted(samples.items())
+            if name == "fragalign_build_info"
+        ]
         state["top"] = top_rows_from_exposition(metrics_text)[:6]
     return state
 
@@ -128,7 +136,14 @@ def render_frame(state: dict, color: bool = True) -> str:
             f"coalesced {int(totals['coalesced'])}  "
             f"p50 {totals['p50_ms']:.2f}ms  p99 {totals['p99_ms']:.2f}ms"
         )
+        if totals.get("writes"):
+            summary += f"  answers/write {totals['requests'] / totals['writes']:.1f}"
         lines.append(summary)
+    for labels, servers in state.get("builds") or ():
+        lines.append(
+            f"build impl {labels.get('impl', '?')}  native {labels.get('native', '?')}  "
+            f"numpy {labels.get('numpy', '?')}  x{servers}"
+        )
     if router:
         lines.append(
             f"shards {router['live']}/{router['configured']}  "

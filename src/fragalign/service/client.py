@@ -20,6 +20,7 @@ from typing import Any, Sequence
 
 from fragalign.align.pairwise import Alignment
 from fragalign.obs.trace import TraceContext
+from fragalign.service.outbox import Outbox
 from fragalign.service.protocol import (
     MAX_LINE,
     ProtocolError,
@@ -37,8 +38,9 @@ __all__ = ["AsyncAlignmentClient", "AlignmentClient"]
 class AsyncAlignmentClient:
     """One pipelined connection to a running alignment service."""
 
-    # Bound on a response-write drain: a server that stops reading for
-    # this long is treated as a connection failure, not waited on.
+    # Bound on a request-write drain: a server that leaves the write
+    # buffer above its high-water mark (not reading) for this long fails
+    # the request instead of pinning it.
     WRITE_TIMEOUT = 30.0
 
     def __init__(
@@ -46,6 +48,8 @@ class AsyncAlignmentClient:
     ) -> None:
         self._reader = reader
         self._writer = writer
+        # Requests issued in one loop turn leave in one socket write.
+        self._outbox = Outbox(writer)
         self._waiting: dict[int, asyncio.Future] = {}
         self._next_id = 0
         self._conn_error: Exception | None = None
@@ -99,7 +103,14 @@ class AsyncAlignmentClient:
 
     async def _request(self, op: str, **fields: Any) -> dict:
         payload = {k: v for k, v in fields.items() if v is not None}
-        return await self._exchange({"op": op, **payload})
+        if op == "align" and frame_reply_bound(op, [(fields["a"], fields["b"])]) > MAX_LINE:
+            # The answer could outgrow the reader's line limit, which
+            # would fail every request sharing this connection.
+            raise ProtocolError(f"{op} answer may exceed one {MAX_LINE}-byte line")
+        response = await self._exchange({"op": op, **payload}, max_line=MAX_LINE)
+        if response is None:
+            raise ProtocolError(f"{op} request exceeds one {MAX_LINE}-byte line")
+        return response
 
     async def _exchange(self, obj: dict, max_line: int | None = None) -> dict | None:
         """Send one request object, await its response.  With
@@ -118,10 +129,11 @@ class AsyncAlignmentClient:
         fut = asyncio.get_running_loop().create_future()
         self._waiting[rid] = fut
         try:
-            self._writer.write(line)
-            # Bounded: a server that stopped reading must fail this
-            # request, not pin it forever.
-            await asyncio.wait_for(self._writer.drain(), timeout=self.WRITE_TIMEOUT)
+            self._outbox.send(line)
+            if self._outbox.backed_up():
+                # Bounded: a server that stopped reading must fail this
+                # request, not pin it forever.
+                await self._outbox.drain_within(self.WRITE_TIMEOUT)
             response = await fut
         except BaseException:
             # Any exit — send failure, cancellation of a timed-out or
@@ -372,7 +384,7 @@ class AsyncAlignmentClient:
             await self._reader_task
         except (asyncio.CancelledError, Exception):
             pass
-        self._writer.close()
+        self._outbox.close()
         # The close waiter is retrieved via a done-callback rather than
         # only by the await below: if this coroutine is cancelled (or
         # times out) before a broken peer's flush error lands on the

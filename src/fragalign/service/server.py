@@ -9,9 +9,10 @@ Request flow for ``score``/``align``::
 
 Everything runs on one event loop; each connection reads lines and
 spawns one task per request, so a single pipelined connection still
-fills batches.  Responses are written under a per-connection lock
-(they can complete out of order — the protocol's ``id`` field exists
-for exactly that).
+fills batches.  Responses complete out of order (the protocol's
+``id`` field exists for exactly that) and are corked per connection:
+every answer ready in one event-loop turn leaves in one socket write
+(see :mod:`fragalign.service.outbox`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from fragalign._native import build_info
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.backends import linear_memory_conflict
 from fragalign.engine.facade import AlignmentEngine
@@ -44,6 +46,7 @@ from fragalign.obs.trace import (
 )
 from fragalign.service.batcher import MicroBatcher
 from fragalign.service.fields import cache_key_fields
+from fragalign.service.outbox import Outbox
 from fragalign.service.protocol import (
     FRAME_OPS,
     MAX_LINE,
@@ -177,7 +180,9 @@ class ServiceConfig:
     degrade_watermark: float = 0.75  # engage degraded mode at this cell load
     degrade_recover: float = 0.5  # ...and disengage below this (hysteresis)
     degrade_widen_factor: float = 8.0
-    drain_timeout: float = 30.0  # seconds before a wedged client is dropped
+    # Seconds a client may leave the write buffer above its high-water
+    # mark (not reading) before its connection is dropped.
+    drain_timeout: float = 30.0
     # Tail-based trace sampling (fragalign.obs.sampling): head-sample
     # server-initiated traces at this rate, always retaining errored
     # and slow ones.  None = off (only client-requested traces exist).
@@ -223,6 +228,11 @@ class AlignmentService:
         # One registry backs the stats snapshot, the Prometheus
         # exposition, and the kernel profiler — they cannot disagree.
         self.registry = MetricsRegistry()
+        self.registry.gauge(
+            "fragalign_build_info",
+            "1, labelled with the kernel build this server runs.",
+            labels=("impl", "native", "numpy"),
+        ).set(1, **build_info())
         self.stats = ServiceStats(registry=self.registry)
         self.tracer = Tracer(TraceBuffer(self.config.trace_buffer))
         self.profiler = KernelProfiler(self.registry)
@@ -267,7 +277,7 @@ class AlignmentService:
         self._model_fp = model_fingerprint(self.engine.model)
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[Outbox] = set()
         self._handlers: set[asyncio.Task] = set()
         self._inflight: dict[tuple, asyncio.Future] = {}
         self.port: int | None = None  # actual bound port, set by start()
@@ -433,8 +443,8 @@ class AlignmentService:
         # shutdown forever), then wait for every handler to finish —
         # nothing may outlive the event loop.
         await asyncio.sleep(0)
-        for writer in list(self._connections):
-            writer.close()
+        for outbox in list(self._connections):
+            outbox.close()
         while self._handlers:
             await asyncio.gather(*list(self._handlers), return_exceptions=True)
         if self._server is not None:
@@ -454,11 +464,11 @@ class AlignmentService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats.observe_connection(+1)
-        self._connections.add(writer)
+        outbox = Outbox(writer, on_flush=self.stats.observe_write)
+        self._connections.add(outbox)
         handler = asyncio.current_task()
         if handler is not None:
             self._handlers.add(handler)
-        write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
             while True:
@@ -478,7 +488,7 @@ class AlignmentService:
                 # request's trace (if any) once the line is parsed.
                 read_s = time.perf_counter() - read_start
                 task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock, read_s)
+                    self._serve_line(line, outbox, read_s)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -486,18 +496,17 @@ class AlignmentService:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             self.stats.observe_connection(-1)
-            self._connections.discard(writer)
+            self._connections.discard(outbox)
             if handler is not None:
                 self._handlers.discard(handler)
             # Plain close (no wait_closed): the handler must not outlive
             # the loop, and the transport flushes what's buffered anyway.
-            writer.close()
+            outbox.close()
 
     async def _serve_line(
         self,
         line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: Outbox,
         read_s: float = 0.0,
     ) -> None:
         t0 = time.perf_counter()
@@ -510,7 +519,7 @@ class AlignmentService:
         try:
             obj = decode_line(line)
             if obj.get("op") in FRAME_OPS:
-                await self._serve_frame(obj, writer, write_lock, read_s, t0)
+                await self._serve_frame(obj, outbox, read_s, t0)
                 return
             request_id = obj.get("id")
             request = parse_request(obj)
@@ -588,46 +597,48 @@ class AlignmentService:
                 )
             )
         await self._write_response(
-            writer, write_lock, response, ctx, tlog if retained else None,
+            outbox, response, ctx, tlog if retained else None,
             request.op if request is not None else None, duration,
         )
         if request is not None and request.op == "shutdown":
-            # Only after the answer is on the wire: stop accepting and
+            # Put the answer on the wire first, then stop accepting and
             # release wait_closed() to wind the service down.
+            outbox.flush()
             self.stop()
 
     async def _write_response(
-        self, writer, write_lock, response: dict, ctx, tlog, op, duration: float
+        self, outbox: Outbox, response: dict, ctx, tlog, op, duration: float
     ) -> None:
-        """Write one response line; buffer the request's spans when its
-        trace is retained (``tlog`` is ``None`` otherwise)."""
-        async with write_lock:
-            write_start = time.perf_counter()
-            writer.write(encode_line(response))
-            if ctx is not None and tlog is not None:
-                # Buffered *before* any bytes flush, so a trace drain
-                # fired on response receipt always sees the full tree.
-                now = time.time()
-                write_s = time.perf_counter() - write_start
-                tlog.append(leaf_entry(ctx, "server.write", now - write_s, write_s))
-                tlog.append(
-                    Span(
-                        ctx.trace_id, ctx.span_id, ctx.parent_id,
-                        "server.request", now - duration, duration,
-                        {"op": op, "ok": bool(response.get("ok"))},
-                    )
+        """Queue one response line (it leaves with this loop turn's
+        flush); buffer the request's spans when its trace is retained
+        (``tlog`` is ``None`` otherwise)."""
+        write_start = time.perf_counter()
+        outbox.send(encode_line(response))
+        if ctx is not None and tlog is not None:
+            # Buffered *before* any bytes flush, so a trace drain
+            # fired on response receipt always sees the full tree.
+            now = time.time()
+            write_s = time.perf_counter() - write_start
+            tlog.append(leaf_entry(ctx, "server.write", now - write_s, write_s))
+            tlog.append(
+                Span(
+                    ctx.trace_id, ctx.span_id, ctx.parent_id,
+                    "server.request", now - duration, duration,
+                    {"op": op, "ok": bool(response.get("ok"))},
                 )
-                self.tracer.extend(tlog)
-            # Sampled out: nothing to undo.  Every span for this
-            # request — including the batcher's, routed through the
-            # tlog sink — only ever lived in the per-request list,
-            # so dropping the trace is just not extending the buffer.
+            )
+            self.tracer.extend(tlog)
+        # Sampled out: nothing to undo.  Every span for this
+        # request — including the batcher's, routed through the
+        # tlog sink — only ever lived in the per-request list,
+        # so dropping the trace is just not extending the buffer.
+        if outbox.backed_up():
             try:
                 # Bounded: a client that stops reading must not pin this
                 # handler (and its response buffers) forever.
-                await asyncio.wait_for(writer.drain(), timeout=self.config.drain_timeout)
+                await outbox.drain_within(self.config.drain_timeout)
             except asyncio.TimeoutError:
-                writer.transport.abort()  # wedged peer: drop the connection
+                outbox.writer.transport.abort()  # wedged peer: drop the connection
             except (ConnectionError, OSError):
                 pass
 
@@ -823,7 +834,7 @@ class AlignmentService:
     # -- frames -------------------------------------------------------
 
     async def _serve_frame(
-        self, obj: dict, writer, write_lock, read_s: float, t0: float
+        self, obj: dict, outbox: Outbox, read_s: float, t0: float
     ) -> None:
         """Answer one ``score_many``/``align_many`` frame with one line.
 
@@ -856,7 +867,7 @@ class AlignmentService:
         if self.journal is not None and frame is not None:
             self._journal_frame(frame, response, duration)
         await self._write_response(
-            writer, write_lock, response, ctx, tlog, obj.get("op"), duration
+            outbox, response, ctx, tlog, obj.get("op"), duration
         )
 
     async def _dispatch_frame(self, frame, ctx, tlog) -> dict:

@@ -71,6 +71,10 @@ class ServiceStats:
         self._conn_total = self.registry.counter(
             "fragalign_connections_total", "Client connections ever accepted."
         )
+        self._writes = self.registry.counter(
+            "fragalign_socket_writes_total",
+            "Socket writes of answer lines (one per connection per loop turn).",
+        )
         self._batches = self.registry.counter(
             "fragalign_batches_total", "Micro-batches dispatched to the engine."
         )
@@ -148,6 +152,10 @@ class ServiceStats:
         self._conn_open.add(delta)
         if delta > 0:
             self._conn_total.inc(delta)
+
+    def observe_write(self) -> None:
+        """Count one corked socket write (see ``service.outbox``)."""
+        self._writes.inc()
 
     def observe_batch(self, size: int) -> None:
         self._batches.inc()

@@ -302,7 +302,7 @@ class TestStaleBuildGuard:
             "with AlignmentEngine(backend='native', mode='local') as eng:\n"
             "    aln = eng.align('ACGTAC', 'ACTTAC')\n"
             "print(json.dumps([_native.HAVE_NATIVE, _native.NATIVE_ERROR,\n"
-            "                  NativeBackend().use_c, aln.score]))\n"
+            "                  NativeBackend().use_c, aln.score, _native.build_info()]))\n"
         )
         src = str(Path(KERNELS_C).resolve().parents[2])
         env = dict(os.environ, PYTHONPATH=src)
@@ -310,11 +310,54 @@ class TestStaleBuildGuard:
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env=env, timeout=120, check=True,
         )
-        have, error, use_c, score = json.loads(out.stdout.strip().splitlines()[-1])
+        have, error, use_c, score, info = json.loads(out.stdout.strip().splitlines()[-1])
         assert not have and not use_c
         assert error.startswith("stale build")
         assert ("SOURCE_HASH" in error) == (stamp is None)
         assert score == local_score_reference("ACGTAC", "ACTTAC")
+        assert info["impl"] == "uint64"
+        assert info["native"] == ("stale: no stamp" if stamp is None else "stale: mismatch")
+
+
+class TestBuildInfo:
+    """``fragalign_build_info`` names the kernel build a server runs."""
+
+    def test_exposition_names_the_live_build(self):
+        from fragalign.obs.metrics import parse_exposition
+        from fragalign.service import AlignmentService, ServiceConfig
+
+        service = AlignmentService(ServiceConfig(port=0))
+        try:
+            samples = parse_exposition(service.render_metrics())["samples"]
+        finally:
+            service.close()
+        rows = [(dict(labels), value) for (name, labels), value in samples.items()
+                if name == "fragalign_build_info"]
+        assert len(rows) == 1
+        labels, value = rows[0]
+        assert value == 1 and labels["numpy"] == np.__version__
+        if HAVE_NATIVE:  # the session's C build
+            assert (labels["impl"], labels["native"]) == ("c", "ok")
+        else:  # FRAGALIGN_TEST_NATIVE=0, or no compiler
+            assert labels["impl"] == "uint64"
+            assert labels["native"] in ("not built", "import failed")
+
+    def test_without_the_extension(self):
+        probe = (
+            "import json, sys\n"
+            "sys.modules['fragalign._native._kernels'] = None  # import fails\n"
+            "from fragalign import _native\n"
+            "print(json.dumps(_native.build_info()))\n"
+        )
+        src = str(Path(KERNELS_C).resolve().parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
+        )
+        info = json.loads(out.stdout.strip().splitlines()[-1])
+        assert info["impl"] == "uint64"
+        assert info["native"] in ("not built", "import failed")
+        assert info["numpy"] == np.__version__
 
 
 class TestServed:

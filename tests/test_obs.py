@@ -640,6 +640,25 @@ class TestFrameAccounting:
         assert state["totals"]["frames"] == 1
         assert "frames 1" in render_frame(state, color=False)
 
+    def test_dash_shows_answers_per_write_and_builds(self):
+        from fragalign.obs.dash import build_state, render_frame
+        from fragalign.obs.metrics import merge_expositions
+
+        reg = MetricsRegistry()
+        stats = ServiceStats(registry=reg)
+        stats.observe_request("score", 48)
+        for _ in range(3):
+            stats.observe_write()
+        reg.gauge("fragalign_build_info", "h", labels=("impl", "native", "numpy")).set(
+            1, impl="c", native="ok", numpy="2.0.0"
+        )
+        frame = render_frame(
+            build_state(metrics_text=merge_expositions([reg.render(), reg.render()])),
+            color=False,
+        )
+        assert "answers/write 16.0" in frame
+        assert "build impl c  native ok  numpy 2.0.0  x2" in frame
+
 
 class TestClusterObservability:
     def test_failover_produces_one_consistent_trace(self, three_shards):

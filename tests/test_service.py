@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import transition_transversion, unit_dna
 from fragalign.engine import AlignmentEngine
+from fragalign.obs.metrics import parse_exposition
+from fragalign.service import client as client_module
 from fragalign.service import (
     AlignmentClient,
     AlignmentService,
@@ -1079,3 +1081,173 @@ class TestFrameAnswerBound:
             assert client.align_many(pairs) == expected
             assert client.ping()  # the connection survived
 
+
+
+def _sample(service: AlignmentService, name: str) -> float:
+    """One unlabelled sample of ``service``'s exposition."""
+    return parse_exposition(service.registry.render())["samples"].get((name, ()), 0.0)
+
+
+def _count_writes(transport) -> list:
+    """Record every ``transport.write`` payload (the write still happens)."""
+    writes: list = []
+    write = transport.write
+
+    def counting(data):
+        writes.append(data)
+        write(data)
+
+    transport.write = counting
+    return writes
+
+
+class TestCorkedWrites:
+    """Lines queued on a connection in one event-loop turn leave in one
+    socket write, on both ends of the wire; backpressure and close
+    keep their guarantees."""
+
+    PAIRS = [("ACGT" * 4, "AGGT" * 3 + "ACG" + "T" * k) for k in range(32)]
+
+    def test_pipelined_singles_leave_in_one_write_each_way(self):
+        async def run():
+            service = AlignmentService(ServiceConfig(port=0, max_batch=64, max_delay=0.002))
+            await service.start()
+            client = await AsyncAlignmentClient.connect(port=service.port)
+            sent = _count_writes(client._writer.transport)
+            rounds = []
+            try:
+                for _ in range(2):  # cold (one engine batch), then cache hits
+                    before, answered = len(sent), _sample(service, "fragalign_socket_writes_total")
+                    scores = await asyncio.gather(*(client.score(a, b) for a, b in self.PAIRS))
+                    rounds.append((
+                        scores, len(sent) - before,
+                        _sample(service, "fragalign_socket_writes_total") - answered,
+                    ))
+            finally:
+                await client.close()
+                service.stop()
+                await service.wait_closed()
+                service.close()
+            return rounds
+
+        with AlignmentEngine() as eng:
+            expected = [eng.score(a, b) for a, b in self.PAIRS]
+        for scores, client_writes, server_writes in asyncio.run(run()):
+            assert scores == expected
+            assert client_writes == 1
+            assert 1 <= server_writes <= 3
+
+    def test_shutdown_answer_arrives_before_the_close(self):
+        port, stop, _service = _serve_in_thread(ServiceConfig(port=0))
+        conn = _RawConnection(port)
+        try:
+            conn.send(encode_line({"id": 1, "op": "ping"}) + encode_line({"id": 2, "op": "shutdown"}))
+            assert conn.until(1)["result"] == "pong"
+            assert conn.until(2)["result"] == "bye"
+            assert conn.buf == b"" and conn.sock.recv(1) == b""  # then end of stream
+        finally:
+            conn.close()
+            stop()
+
+    def test_requests_queued_at_close_fail_with_connection_error(self):
+        async def run():
+            async def silent(reader, writer):
+                await reader.read()  # never answers
+                writer.close()
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            client = await AsyncAlignmentClient.connect(port=server.sockets[0].getsockname()[1])
+            sent = _count_writes(client._writer.transport)
+            tasks = [asyncio.create_task(client.score("ACGT", "AGGT")) for _ in range(8)]
+            await asyncio.sleep(0)  # every request ran up to its answer wait
+            queued_unsent = not sent
+            await client.close()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=5
+            )
+            server.close()
+            await server.wait_closed()
+            return queued_unsent, outcomes
+
+        queued_unsent, outcomes = asyncio.run(run())
+        assert queued_unsent
+        assert all(isinstance(o, ConnectionError) for o in outcomes), outcomes
+
+    def test_peer_that_stops_reading_is_dropped_after_drain_timeout(self):
+        port, stop, service = _serve_in_thread(ServiceConfig(port=0, drain_timeout=0.3))
+        a = "ACGT" * 500
+        request = encode_line({"id": 0, "op": "align", "a": a, "b": a})  # ~24 KB answers
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10)
+        try:
+            sock.connect(("127.0.0.1", port))
+            try:
+                sock.sendall(request * 400)  # ~10 MB of answers, never read
+            except OSError:
+                pass  # the server may already have dropped us
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline and not (
+                _sample(service, "fragalign_connections_total") == 1
+                and _sample(service, "fragalign_connections_open") == 0
+            ):
+                time.sleep(0.05)
+            assert _sample(service, "fragalign_connections_total") == 1
+            assert _sample(service, "fragalign_connections_open") == 0
+            assert _sample(service, "fragalign_socket_writes_total") > 0
+            with AlignmentClient(port=port) as client:
+                assert client.ping()  # the server still serves others
+        finally:
+            sock.close()
+            stop()
+
+    def test_mixed_singles_frames_and_control_ops_on_one_connection(self, service_port):
+        pairs = self.PAIRS[:8]
+
+        async def run():
+            client = await AsyncAlignmentClient.connect(port=service_port)
+            try:
+                return await asyncio.gather(
+                    asyncio.gather(*(client.score(a, b) for a, b in pairs)),
+                    asyncio.gather(*(client.align(a, b, mode="overlap") for a, b in pairs)),
+                    client.score_many(pairs, mode="local"),
+                    client.align_many(pairs),
+                    client.ping(),
+                    client.stats(),
+                    client.metrics(),
+                )
+            finally:
+                await client.close()
+
+        scores, overlap, local, alns, pong, stats, metrics = asyncio.run(run())
+        with AlignmentEngine() as eng:
+            assert scores == [eng.score(a, b) for a, b in pairs]
+            assert overlap == eng.align_many(pairs, mode="overlap")
+            assert local == [eng.score(a, b, mode="local") for a, b in pairs]
+            assert alns == eng.align_many(pairs)
+        assert pong and stats["requests"]["total"] >= 4 * len(pairs)
+        assert "fragalign_socket_writes_total" in metrics
+
+
+class TestOversizedSingleAnswer:
+    def test_oversized_align_fails_alone(self, frame_server, monkeypatch):
+        # A shrunk line cap stands in for a ~75 kb pair under the real one.
+        monkeypatch.setattr(client_module, "MAX_LINE", 4096)
+        port, _service = frame_server
+        a = "ACGT" * 250  # its alignment answer runs to ~10 KB
+
+        async def run():
+            client = await AsyncAlignmentClient.connect(port=port)
+            try:
+                big, small = await asyncio.gather(
+                    client.align(a, a), client.score("ACGTAC", "AGGTAC"),
+                    return_exceptions=True,
+                )
+                return big, small, await client.ping()
+            finally:
+                await client.close()
+
+        big, small, pong = asyncio.run(run())
+        assert isinstance(big, ProtocolError)
+        assert small == AlignmentEngine().score("ACGTAC", "AGGTAC")
+        assert pong  # the connection survived
